@@ -18,7 +18,8 @@ import numpy as np
 from . import datagen, io, tasks
 from .estimation import EstimationError, FitConfig, multi_start_fit
 from .inference import InferenceError, mean_ci, sandwich_covariance, standard_errors
-from .model import ExpertDesign, ModelError
+from .model import (FAMILIES, ExpertDesign, ModelError, expert_family,
+                    gate_log_probs, responsibilities)
 from .selection import SelectionError, bic, param_count, select_g
 
 EXIT_USAGE = 2
@@ -72,13 +73,15 @@ def _add_data_flags(p):
 def _read_data(args, family: str, K: int | None):
     cols = args.covariate_cols.split(",") if args.covariate_cols else None
     return io.read_dataset_csv(
-        args.data, io.KIND_FOR_FAMILY[family], K=K,
+        args.data, expert_family(family).kind, K=K,
         response_col=args.response_col, covariate_cols=cols)
 
 
-def _fit_meta(result, data, family, design, K):
-    dim = param_count(result.theta.g, data.p, family, design, K)
-    return {
+def _save_fit(args, result, data, design) -> None:
+    """Save the fitted model with its fit summary to --out, and with
+    --with-covariance its sandwich covariance too."""
+    dim = param_count(result.theta.g, data.p, args.family, design, args.K)
+    meta = {
         "logQL": result.q_hat,
         "dim": dim,
         "bic": bic(result.q_hat, dim, data.n),
@@ -88,6 +91,11 @@ def _fit_meta(result, data, family, design, K):
         "converged": result.converged,
         "degenerate": result.degenerate,
     }
+    covariance = None
+    if args.with_covariance:
+        sw = sandwich_covariance(data, result.theta)
+        covariance = {"order": sw.labels, "matrix": sw.cov.tolist()}
+    io.save_model(args.out, result.theta, meta, covariance)
 
 
 def cmd_simulate(args) -> int:
@@ -136,13 +144,7 @@ def cmd_fit(args) -> int:
     config = _fit_config(args)
     result = multi_start_fit(data, args.g, args.family, design, config,
                              n_threads=args.threads)
-    covariance = None
-    if args.with_covariance:
-        sw = sandwich_covariance(data, result.theta)
-        covariance = {"order": sw.labels, "matrix": sw.cov.tolist()}
-    io.save_model(args.out, result.theta,
-                  _fit_meta(result, data, args.family, design, args.K),
-                  covariance)
+    _save_fit(args, result, data, design)
     return 0
 
 
@@ -155,13 +157,7 @@ def cmd_select(args) -> int:
     report = select_g(data, args.G, args.family, design, config,
                       n_threads=args.threads)
     best = report.best()
-    covariance = None
-    if args.with_covariance:
-        sw = sandwich_covariance(data, best.fit.theta)
-        covariance = {"order": sw.labels, "matrix": sw.cov.tolist()}
-    io.save_model(args.out, best.fit.theta,
-                  _fit_meta(best.fit, data, args.family, design, args.K),
-                  covariance)
+    _save_fit(args, best.fit, data, design)
     if args.table:
         Path(args.table).write_text(report.to_csv())
     print(f"selected g={report.g_hat}  logQL={best.q_hat:.6f}  "
@@ -171,49 +167,34 @@ def cmd_select(args) -> int:
 
 def cmd_predict(args) -> int:
     theta, doc = io.load_model(args.model)
-    kind = io.KIND_FOR_FAMILY[theta.family]
-    cols = args.covariate_cols.split(",") if args.covariate_cols else None
-    needs_y = args.mode == "cluster-posterior"
-    if needs_y:
-        data = io.read_dataset_csv(args.data, kind, K=theta.K,
-                                   response_col=args.response_col,
-                                   covariate_cols=cols)
-        X, y = data.X, data.y
+    if args.mode == "cluster-posterior":
+        data = _read_data(args, theta.family, theta.K)
+        X = data.X
     else:
-        # covariates only: the response column may be absent
-        X, y = _read_covariates(args, theta, cols)
+        cols = args.covariate_cols.split(",") if args.covariate_cols else None
+        X = io.read_covariates_csv(args.data, args.response_col, cols)
     if X.shape[1] != theta.p:
         raise UsageError(
             f"model expects {theta.p} covariate column(s), data has {X.shape[1]}")
     header = [f"x{j + 1}" for j in range(theta.p)]
     out_rows = []
-    if args.mode == "classify":
-        post = tasks.class_posteriors(X, theta)
-        labels = np.argmax(post, axis=1) + 1
-        header += [f"post_{k + 1}" for k in range(theta.K)] + ["label"]
+    if args.mode in ("classify", "cluster-posterior", "cluster-gate"):
+        if args.mode == "classify":
+            probs = tasks.class_posteriors(X, theta)
+        elif args.mode == "cluster-posterior":
+            probs = responsibilities(data, theta)
+        else:
+            probs = np.exp(gate_log_probs(X, theta.gating))
+        labels = np.argmax(probs, axis=1) + 1
+        prefix = "gate" if args.mode == "cluster-gate" else "post"
+        header += [f"{prefix}_{k + 1}" for k in range(probs.shape[1])] + ["label"]
         for i in range(X.shape[0]):
-            out_rows.append(list(X[i]) + list(post[i]) + [int(labels[i])])
-    elif args.mode == "cluster-posterior":
-        from .model import responsibilities
-        tau = responsibilities(data, theta)
-        labels = np.argmax(tau, axis=1) + 1
-        header += [f"post_{z + 1}" for z in range(theta.g)] + ["label"]
-        for i in range(X.shape[0]):
-            out_rows.append(list(X[i]) + list(tau[i]) + [int(labels[i])])
-    elif args.mode == "cluster-gate":
-        from .model import gate_log_probs
-        gates = np.exp(gate_log_probs(X, theta.gating))
-        labels = np.argmax(gates, axis=1) + 1
-        header += [f"gate_{z + 1}" for z in range(theta.g)] + ["label"]
-        for i in range(X.shape[0]):
-            out_rows.append(list(X[i]) + list(gates[i]) + [int(labels[i])])
-    elif args.mode == "mean":
-        m = tasks.predict_mean_rows(X, theta)
-        header += ["mean"]
-        out_rows = [list(X[i]) + [m[i]] for i in range(X.shape[0])]
-    elif args.mode == "variance":
-        v = tasks.predict_variance_rows(X, theta)
-        header += ["variance"]
+            out_rows.append(list(X[i]) + list(probs[i]) + [int(labels[i])])
+    elif args.mode in ("mean", "variance"):
+        predict = (tasks.predict_mean_rows if args.mode == "mean"
+                   else tasks.predict_variance_rows)
+        v = predict(X, theta)
+        header += [args.mode]
         out_rows = [list(X[i]) + [v[i]] for i in range(X.shape[0])]
     else:  # mean-ci
         if "covariance" not in doc:
@@ -232,23 +213,6 @@ def cmd_predict(args) -> int:
             w.writerow([repr(float(v)) if isinstance(v, float) else v
                         for v in row])
     return 0
-
-
-def _read_covariates(args, theta, cols):
-    path = Path(args.data)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [r for r in reader if r]
-    if cols is None:
-        cols = [c for c in header if c not in (args.response_col, "z_true")]
-    missing = [c for c in cols if c not in header]
-    if missing:
-        raise io.FormatError(f"{path}: missing covariate column(s) {missing} "
-                             f"(found columns: {header})")
-    xi = [header.index(c) for c in cols]
-    X = np.array([[float(r[j]) for j in xi] for r in rows])
-    return X, None
 
 
 def cmd_summarize(args) -> int:
@@ -288,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a model with a fixed g")
     _add_data_flags(p)
-    p.add_argument("--family", required=True,
-                   choices=["gaussian", "logistic", "poisson", "multinomial"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--K", type=int, default=None)
     p.add_argument("--design", default="raw")
@@ -300,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="select g by BIC over 1..G")
     _add_data_flags(p)
-    p.add_argument("--family", required=True,
-                   choices=["gaussian", "logistic", "poisson", "multinomial"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--G", type=int, required=True)
     p.add_argument("--K", type=int, default=None)
     p.add_argument("--design", default="raw")

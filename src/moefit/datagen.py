@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Dataset, MoeParams, gate_log_probs
+from .model import Dataset, MoeParams, expert_family, gate_log_probs
 
 
 def gen_three_class(n: int, seed: int) -> Dataset:
@@ -54,28 +54,12 @@ def gen_moe_sample(theta: MoeParams, covariate_sampler, n: int, seed: int) -> Da
     # inverse-CDF draw of the latent component per row
     u = rng.random(n)
     z = (np.cumsum(gates, axis=1) < u[:, None]).sum(axis=1)
+    fam = expert_family(theta.family)
     Dt = np.column_stack([np.ones(n), theta.design.matrix(X)])
-    if theta.family == "gaussian":
-        mu = np.einsum("nd,nd->n", Dt, theta.beta[z])
-        y = mu + rng.standard_normal(n) * np.sqrt(theta.sigma2[z])
-        kind = "real"
-    elif theta.family == "logistic":
-        s = np.einsum("nd,nd->n", Dt, theta.beta[z])
-        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-s))).astype(int)
-        kind = "binary"
-    elif theta.family == "poisson":
-        s = np.einsum("nd,nd->n", Dt, theta.beta[z])
-        y = rng.poisson(np.exp(s))
-        kind = "count"
-    else:
-        scores = np.einsum("nd,nkd->nk", Dt, theta.beta[z])
-        m = scores.max(axis=1, keepdims=True)
-        probs = np.exp(scores - m)
-        probs /= probs.sum(axis=1, keepdims=True)
-        uy = rng.random(n)
-        y = (np.cumsum(probs, axis=1) < uy[:, None]).sum(axis=1) + 1
-        kind = "categorical"
-    return Dataset(X, y, kind, K=theta.K, z_true=z + 1)
+    # each row's linear predictor under its own component: (n,), or (n, K)
+    mu = fam.mean(np.einsum("nd,n...d->n...", Dt, theta.beta[z]))
+    y = fam.sample(rng, mu, theta.sigma2[z] if fam.dispersion else None)
+    return Dataset(X, y, fam.kind, K=theta.K, z_true=z + 1)
 
 
 @dataclass

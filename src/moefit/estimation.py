@@ -15,14 +15,15 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, get_lapack_funcs
-from scipy.special import gammaln
 
 from .model import (
     Dataset,
     ExpertDesign,
+    ExpertFamily,
     MoeParams,
     add_intercept,
     check_compatible,
+    expert_family,
     expert_log_density_matrix,
     gate_log_probs,
     log_quasi_likelihood,
@@ -32,6 +33,12 @@ from .model import (
 
 STARVATION_FACTOR = 1e-12
 GLM_COEF_CAP = 30.0
+# hybrid gating acceleration: every outer cycle sweeps the gating blocks
+# GATING_ROUNDS times, and each curvature-bound step is lengthened by doubling,
+# up to GATING_STEP_CAP times, while it still improves the objective (factor 1
+# is always the plain curvature-bound step)
+GATING_ROUNDS = 3
+GATING_STEP_CAP = 64.0
 
 
 class EstimationError(RuntimeError):
@@ -58,19 +65,12 @@ class FitConfig:
     n_starts: int = 10
     seed: int = 0
     irls_max_inner: int = 25
-    # hybrid gating acceleration: number of gating sub-sweeps per outer cycle,
-    # and whether to lengthen each curvature-bound step while it still improves
-    # the objective (factor 1 is always the plain curvature-bound step)
-    gating_rounds: int = 3
-    gating_step_expand: bool = True
 
     def __post_init__(self):
         if self.max_cycles < 1 or self.n_starts < 1:
             raise ValueError("max_cycles and n_starts must be >= 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
-        if self.gating_rounds < 1:
-            raise ValueError("gating_rounds must be >= 1")
 
 
 @dataclass
@@ -99,14 +99,17 @@ def _psd_solver(A: np.ndarray, what: str):
     return lambda b: potrs(c, b, lower=lower)[0]
 
 
-def _solve_psd(A: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    return _psd_solver(A, what)(b)
-
-
 def gating_gram(data: Dataset) -> np.ndarray:
     """H = sum of x-tilde outer products over the sample."""
     Xt = add_intercept(data.X)
     return Xt.T @ Xt
+
+
+def _gating_direction(Xt: np.ndarray, solve_H, tau_z: np.ndarray,
+                      gate_z: np.ndarray) -> np.ndarray:
+    """Curvature-bound ascent direction of one gating block,
+    4 H^-1 X-tilde^T (tau_z - pi_z), with ``solve_H`` applying H^-1."""
+    return 4.0 * solve_H(Xt.T @ (tau_z - gate_z))
 
 
 def gating_block_update(data: Dataset, theta: MoeParams, z: int,
@@ -115,15 +118,13 @@ def gating_block_update(data: Dataset, theta: MoeParams, z: int,
     """Curvature-bound update of gating block z (0-based, z < g-1)."""
     if not 0 <= z < theta.g - 1:
         raise ValueError("gating block index must lie in [0, g-1)")
-    Xt = add_intercept(data.X)
-    if H is None:
-        H = Xt.T @ Xt
+    solve_H = _psd_solver(gating_gram(data) if H is None else H,
+                          "gating design Gram matrix")
     if tau is None:
         tau = responsibilities(data, theta)
     gates = np.exp(gate_log_probs(data.X, theta.gating))
-    grad = Xt.T @ (tau[:, z] - gates[:, z])
-    step = _solve_psd(H, grad, "gating design Gram matrix")
-    return theta.gating[z] + 4.0 * step
+    return theta.gating[z] + _gating_direction(add_intercept(data.X), solve_H,
+                                               tau[:, z], gates[:, z])
 
 
 def gating_surrogate_value(data: Dataset, theta: MoeParams, z: int,
@@ -180,22 +181,17 @@ def gaussian_expert_block_update(data: Dataset, theta: MoeParams,
     _check_starvation(tau, data.n)
     Dt = add_intercept(theta.design.matrix(data.X))
     y = data.y
-    g = theta.g
     beta = np.empty_like(theta.beta)
-    sigma2 = np.empty(g)
-    floored = np.zeros(g, dtype=bool)
-    for z in range(g):
+    sigma2 = np.empty(theta.g)
+    for z in range(theta.g):
         w = tau[:, z]
         G = (Dt * w[:, None]).T @ Dt
         b = Dt.T @ (w * y)
-        beta[z] = _solve_psd(G, b, f"weighted Gram matrix of component {z + 1}")
+        beta[z] = _psd_solver(G, f"weighted Gram matrix of component {z + 1}")(b)
         resid = y - Dt @ beta[z]
-        s2 = float(w @ resid ** 2 / w.sum())
-        if s2 < floor:
-            s2 = floor
-            floored[z] = True
-        sigma2[z] = s2
-    return beta, sigma2, floored
+        sigma2[z] = w @ resid ** 2 / w.sum()
+    floored = sigma2 < floor
+    return beta, np.where(floored, floor, sigma2), floored
 
 
 class _GlmData(NamedTuple):
@@ -208,23 +204,21 @@ class _GlmData(NamedTuple):
     every weighted Gram matrix of the batch.
     """
 
-    family: str
+    fam: ExpertFamily
     Dt: np.ndarray
     DtT: np.ndarray
     DD: np.ndarray
     y: np.ndarray
-    onehot: np.ndarray | None  # (K, n) class indicators, multinomial only
+    target: np.ndarray  # the response on the scale of the family's mean
 
     @classmethod
     def build(cls, family: str, Dt: np.ndarray, y: np.ndarray,
               K: int | None) -> "_GlmData":
         n, d1 = Dt.shape
-        onehot = None
-        if family == "multinomial":
-            onehot = (np.arange(1, K + 1)[:, None] == y[None, :]).astype(float)
-        return cls(family, Dt, np.ascontiguousarray(Dt.T),
+        fam = expert_family(family)
+        return cls(fam, Dt, np.ascontiguousarray(Dt.T),
                    (Dt[:, :, None] * Dt[:, None, :]).reshape(n, d1 * d1),
-                   y, onehot)
+                   y, fam.target(y, K))
 
 
 def _glm_ll(glm: _GlmData, W: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -233,15 +227,7 @@ def _glm_ll(glm: _GlmData, W: np.ndarray, beta: np.ndarray) -> np.ndarray:
     ``W`` holds one weight row per expert, (b, n); ``beta`` is (b, d+1), or
     (b, K, d+1) for multinomial experts with class K pinned at zero.
     """
-    s = beta @ glm.DtT
-    y = glm.y
-    if glm.family == "multinomial":
-        ll = s[:, y - 1, np.arange(y.size)] - logsumexp(s, axis=1)
-    elif glm.family == "logistic":
-        ll = y * s - np.logaddexp(0.0, s)
-    else:
-        ll = y * s - np.exp(s) - gammaln(y + 1.0)
-    return np.einsum("bn,bn->b", W, ll)
+    return np.einsum("bn,bn->b", W, glm.fam.log_density(beta @ glm.DtT, glm.y, None))
 
 
 def _glm_grad_hess(glm: _GlmData, W: np.ndarray, beta: np.ndarray):
@@ -249,26 +235,19 @@ def _glm_grad_hess(glm: _GlmData, W: np.ndarray, beta: np.ndarray):
     log-likelihoods, m being the number of free coefficients per expert."""
     b, n = W.shape
     d1 = glm.Dt.shape[1]
-    s = beta @ glm.DtT
-    if glm.family == "multinomial":
-        e = np.exp(s - s.max(axis=1, keepdims=True))
-        P = (e / e.sum(axis=1, keepdims=True))[:, :-1]  # free classes 1..K-1
+    mu = glm.fam.mean(beta @ glm.DtT)
+    if glm.fam.multiclass:
+        P = mu[:, :-1]  # free classes 1..K-1
         k = P.shape[1]
         wP = W[:, None, :] * P
-        grad = (W[:, None, :] * (glm.onehot[:-1] - P)) @ glm.Dt  # (b, k, d+1)
+        grad = (W[:, None, :] * (glm.target[:-1] - P)) @ glm.Dt  # (b, k, d+1)
         wkl = wP[:, :, None, :] * P[:, None, :, :]
         wkl[:, np.arange(k), np.arange(k)] -= wP
         hess = (wkl.reshape(-1, n) @ glm.DD).reshape(b, k, k, d1, d1)
         return (grad.reshape(b, k * d1),
                 hess.transpose(0, 1, 3, 2, 4).reshape(b, k * d1, k * d1))
-    if glm.family == "logistic":
-        mu = 1.0 / (1.0 + np.exp(-s))
-        var = mu * (1.0 - mu)
-    else:  # poisson
-        mu = np.exp(s)
-        var = mu
-    grad = (W * (glm.y - mu)) @ glm.Dt
-    hess = -((W * var) @ glm.DD).reshape(b, d1, d1)
+    grad = (W * (glm.target - mu)) @ glm.Dt
+    hess = -((W * glm.fam.variance(mu)) @ glm.DD).reshape(b, d1, d1)
     return grad, hess
 
 
@@ -313,8 +292,7 @@ def _weighted_glm_fit(glm: _GlmData, W: np.ndarray, beta0: np.ndarray,
         idx, delta = idx[finite], delta[finite]
         if not idx.size:
             break
-        if glm.family == "multinomial":
-            delta = delta.reshape(len(idx), -1, glm.Dt.shape[1])
+        delta = delta.reshape(len(idx), -1, glm.Dt.shape[1])  # per free class
         improved = np.zeros(len(idx), dtype=bool)
         pending = np.arange(len(idx))
         step = 1.0
@@ -323,10 +301,8 @@ def _weighted_glm_fit(glm: _GlmData, W: np.ndarray, beta0: np.ndarray,
                 break
             rows = idx[pending]
             cand = beta[rows]
-            if glm.family == "multinomial":
-                cand[:, :-1] += step * delta[pending]
-            else:
-                cand += step * delta[pending]
+            free = glm.fam.free_coefs(cand)
+            free += step * delta[pending]
             ll_new = _glm_ll(glm, W[rows], cand)
             ll_old = ll[rows]
             ok = np.isfinite(ll_new) & (
@@ -340,13 +316,12 @@ def _weighted_glm_fit(glm: _GlmData, W: np.ndarray, beta0: np.ndarray,
         if not active.any():
             break
     capped = np.zeros(len(beta), dtype=bool)
-    if glm.family in ("logistic", "multinomial"):
+    if glm.fam.separable:
         capped = np.abs(beta).reshape(len(beta), -1).max(axis=1) > GLM_COEF_CAP
         c = np.flatnonzero(capped)
         if c.size:
+            # clipping keeps a pinned zero class at zero
             clipped = np.clip(beta[c], -GLM_COEF_CAP, GLM_COEF_CAP)
-            if glm.family == "multinomial":
-                clipped[:, -1] = 0.0
             # keep a clipped solution only if it still improves on the start
             keep = _glm_ll(glm, W[c], clipped) >= _glm_ll(glm, W[c], beta0[c])
             keep = keep.reshape((-1,) + (1,) * (beta.ndim - 1))
@@ -390,9 +365,9 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     densities and their sum are held component-major, (g, n), so every
     log-sum-exp over components reduces across whole rows; the constant
     gating Gram matrix is factored once.  Each gating block step follows the
-    curvature-bound direction; with ``gating_step_expand`` the step length is
-    doubled as long as the objective keeps improving, which cuts cycle counts
-    sharply while preserving monotone ascent.
+    curvature-bound direction, and its length is doubled as long as the
+    objective keeps improving, which cuts cycle counts sharply while
+    preserving monotone ascent.
     """
     config = config or FitConfig()
     check_compatible(data, init)
@@ -401,7 +376,8 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     # the gating Gram matrix is constant, so it is factored once per fit
     solve_H = (_psd_solver(gating_gram(data), "gating design Gram matrix")
                if g > 1 else None)
-    floor = variance_floor(data, config) if theta.family == "gaussian" else 0.0
+    gaussian = theta.family == "gaussian"
+    floor = variance_floor(data, config) if gaussian else 0.0
     Xt = add_intercept(data.X)
     L = np.ascontiguousarray(expert_log_density_matrix(data, theta).T)
     S = np.ascontiguousarray((Xt @ theta.gating.T).T)
@@ -417,7 +393,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     for cycle in range(1, config.max_cycles + 1):
         try:
             q_cur = q
-            for _ in range(config.gating_rounds if g > 1 else 0):
+            for _ in range(GATING_ROUNDS if g > 1 else 0):
                 for z in range(g - 1):
                     # only row z of the gating scores moves during this
                     # block update, so log-sum-exp over the other rows is
@@ -430,8 +406,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
                     q_cur = float(np.sum(lse_j - lse_s))
                     tau_z = np.exp(J[z] - lse_j)
                     gate_z = np.exp(row0 - lse_s)
-                    grad = Xt.T @ (tau_z - gate_z)
-                    direction = 4.0 * solve_H(grad)
+                    direction = _gating_direction(Xt, solve_H, tau_z, gate_z)
                     drow = Xt @ direction
                     Lz = L[z]
 
@@ -446,7 +421,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
                     # start from the step length this block last accepted,
                     # shrinking toward the plain curvature-bound step (factor
                     # 1) whenever the longer step no longer improves
-                    factor = step_factor[z] if config.gating_step_expand else 1.0
+                    factor = step_factor[z]
                     q_new = q_at(factor)
                     while factor > 1.0 and not (
                             np.isfinite(q_new) and q_new > q_cur):
@@ -456,13 +431,12 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
                         # guard: never lose ground on the objective
                         step_factor[z] = 1.0
                         continue
-                    if config.gating_step_expand:
-                        while factor < 64.0:
-                            q_try = q_at(2.0 * factor)
-                            if not np.isfinite(q_try) or q_try <= q_new:
-                                break
-                            factor *= 2.0
-                            q_new = q_try
+                    while factor < GATING_STEP_CAP:
+                        q_try = q_at(2.0 * factor)
+                        if not np.isfinite(q_try) or q_try <= q_new:
+                            break
+                        factor *= 2.0
+                        q_new = q_try
                     step_factor[z] = factor
                     S[z] = row0 + factor * drow
                     J[z] = S[z] + Lz
@@ -470,25 +444,21 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
                     q_cur = q_new
             if g > 1:
                 _, tau, q_cur = _joint(S, L)
-            if theta.family == "gaussian":
-                beta, sigma2, floored = gaussian_expert_block_update(
+            old_beta, old_L = theta.beta, L
+            if gaussian:
+                theta.beta, theta.sigma2, floored = gaussian_expert_block_update(
                     data, theta, floor, tau=tau.T)
-                theta.beta, theta.sigma2 = beta, sigma2
                 degenerate = bool(floored.any())
-                L = np.ascontiguousarray(expert_log_density_matrix(data, theta).T)
-                J, tau, q_new = _joint(S, L)
             else:
-                beta, _ = glm_expert_block_update(data, theta, config, tau=tau.T)
-                old_beta, old_L = theta.beta, L
-                theta.beta = beta
-                L = np.ascontiguousarray(expert_log_density_matrix(data, theta).T)
+                theta.beta, _ = glm_expert_block_update(data, theta, config, tau=tau.T)
+            L = np.ascontiguousarray(expert_log_density_matrix(data, theta).T)
+            J, tau, q_new = _joint(S, L)
+            # ascent guard: a capped/aborted GLM inner solve must not lose ground
+            if not gaussian and q_new < q_cur - 1e-10 * (1.0 + abs(q_cur)):
+                theta.beta, L = old_beta, old_L
                 J, tau, q_new = _joint(S, L)
-                # ascent guard: a capped/aborted inner solve must not lose ground
-                if q_new < q_cur - 1e-10 * (1.0 + abs(q_cur)):
-                    theta.beta, L = old_beta, old_L
-                    J, tau, q_new = _joint(S, L)
         except EstimationError as err:
-            raise EstimationError(f"cycle {cycle}: {err}") from err
+            raise type(err)(f"cycle {cycle}: {err}") from err
         trace.append(q_new)
         if abs(q_new - q) <= config.rel_tol * (1.0 + abs(q)):
             converged = True
@@ -551,35 +521,29 @@ def initialize(data: Dataset, g: int, family: str, design: ExpertDesign,
             f"need at least {g * (d + 1)} rows to initialize g={g}, have {data.n}"
         )
     rng = np.random.default_rng(seed)
-    n = data.n
     labels = _random_hard_partition(data, g, rng)
     Dt = add_intercept(design.matrix(data.X))
-    floor = 0.0
-    if family == "gaussian":
-        floor = variance_floor(data, config)
-    K = data.K if family == "multinomial" else None
-    if family == "multinomial":
-        beta = np.zeros((g, K, d + 1))
-    else:
-        beta = np.zeros((g, d + 1))
-    sigma2 = np.ones(g) if family == "gaussian" else None
+    K = data.K if expert_family(family).multiclass else None
+    beta = np.zeros((g, d + 1) if K is None else (g, K, d + 1))
+    sigma2 = None
+    # hard 0/1 weights: every expert is fit to its own group
+    W = (labels[None, :] == np.arange(g)[:, None]).astype(float)
     if family != "gaussian":
-        # hard 0/1 weights: every expert is fit to its own group, all at once
-        W = (labels[None, :] == np.arange(g)[:, None]).astype(float)
+        # all GLM experts at once
         glm = _GlmData.build(family, Dt, data.y, K)
         beta, _ = _weighted_glm_fit(glm, W, beta, config.irls_max_inner)
     else:
-        for z in range(g):
-            idx = np.where(labels == z)[0]
-            w = np.zeros(n)
-            w[idx] = 1.0
+        floor = variance_floor(data, config)
+        sigma2 = np.ones(g)
+        for z, w in enumerate(W):
             G = (Dt * w[:, None]).T @ Dt
             b = Dt.T @ (w * data.y)
             try:
-                beta[z] = _solve_psd(G, b, "initialization Gram matrix")
+                beta[z] = _psd_solver(G, "initialization Gram matrix")(b)
             except RankDeficientError:
-                beta[z] = _solve_psd(G + 1e-8 * np.eye(d + 1), b, "ridged init Gram")
-            resid = data.y[idx] - Dt[idx] @ beta[z]
+                beta[z] = _psd_solver(G + 1e-8 * np.eye(d + 1), "ridged init Gram")(b)
+            members = labels == z
+            resid = data.y[members] - Dt[members] @ beta[z]
             sigma2[z] = max(float(np.mean(resid ** 2)), floor)
     gating = np.zeros((g, data.p + 1))
     return MoeParams(family=family, gating=gating, beta=beta, design=design,
@@ -599,28 +563,23 @@ def multi_start_fit(data: Dataset, g: int, family: str,
     config = config or FitConfig()
     design = design or ExpertDesign()
 
-    def run(k: int):
+    def run(k: int) -> FitResult | str:
+        """Start k's fit, or the reason it failed."""
         seed_k = config.seed + k
-        init = initialize(data, g, family, design, seed_k, config)
-        return fit(data, init, config, seed_used=seed_k)
+        try:
+            init = initialize(data, g, family, design, seed_k, config)
+            return fit(data, init, config, seed_used=seed_k)
+        except EstimationError as err:
+            return f"start {k} (seed {seed_k}): {err}"
 
-    results: list[tuple[int, FitResult]] = []
-    failures = []
     if n_threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            futures = {k: pool.submit(run, k) for k in range(config.n_starts)}
-        for k, fut in futures.items():
-            try:
-                results.append((k, fut.result()))
-            except EstimationError as err:
-                failures.append(f"start {k} (seed {config.seed + k}): {err}")
+            outcomes = list(pool.map(run, range(config.n_starts)))
     else:
-        for k in range(config.n_starts):
-            try:
-                results.append((k, run(k)))
-            except EstimationError as err:
-                failures.append(f"start {k} (seed {config.seed + k}): {err}")
+        outcomes = [run(k) for k in range(config.n_starts)]
+    results = [(k, r) for k, r in enumerate(outcomes) if isinstance(r, FitResult)]
+    failures = [r for r in outcomes if isinstance(r, str)]
     if not results:
         raise EstimationError("all starts failed:\n  " + "\n  ".join(failures))
     _, best = max(results, key=lambda kr: (kr[1].q_hat, -kr[0]))

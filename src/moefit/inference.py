@@ -19,6 +19,7 @@ from .model import (
     MoeParams,
     add_intercept,
     check_compatible,
+    expert_family,
     gate_log_probs,
     responsibilities,
 )
@@ -33,97 +34,76 @@ class InferenceError(RuntimeError):
 
 def param_labels(theta: MoeParams) -> list[str]:
     """Names of the free parameters in serialization order."""
+    fam = expert_family(theta.family)
     labels = []
     for z in range(theta.g - 1):
         labels += [f"gate[{z + 1}].a{j}" for j in range(theta.p + 1)]
     d1 = theta.expert_width + 1
     for z in range(theta.g):
-        if theta.family == "multinomial":
-            for l in range(theta.K - 1):
-                labels += [f"expert[{z + 1}].class[{l + 1}].b{j}" for j in range(d1)]
-        else:
-            labels += [f"expert[{z + 1}].b{j}" for j in range(d1)]
-            if theta.family == "gaussian":
-                labels += [f"expert[{z + 1}].sigma2"]
+        for l in range(fam.free_classes(theta.K)):
+            block = f"expert[{z + 1}]" + (f".class[{l + 1}]" if fam.multiclass else "")
+            labels += [f"{block}.b{j}" for j in range(d1)]
+        if fam.dispersion:
+            labels += [f"expert[{z + 1}].sigma2"]
     return labels
 
 
 def flatten_params(theta: MoeParams) -> np.ndarray:
     """Free parameters as one vector in serialization order."""
-    parts = [theta.gating[z] for z in range(theta.g - 1)]
-    for z in range(theta.g):
-        if theta.family == "multinomial":
-            parts.append(theta.beta[z, : theta.K - 1].ravel())
-        else:
-            parts.append(theta.beta[z])
-            if theta.family == "gaussian":
-                parts.append(np.array([theta.sigma2[z]]))
-    return np.concatenate(parts) if parts else np.empty(0)
+    fam = expert_family(theta.family)
+    experts = [fam.free_coefs(theta.beta).reshape(theta.g, -1)]
+    if fam.dispersion:
+        experts.append(theta.sigma2[:, None])
+    return np.concatenate([theta.gating[:-1].ravel(),
+                           np.concatenate(experts, axis=1).ravel()])
 
 
 def unflatten_params(theta: MoeParams, vec: np.ndarray) -> MoeParams:
     """Rebuild a MoeParams with the same shape as ``theta`` from ``vec``."""
+    fam = expert_family(theta.family)
     vec = np.asarray(vec, dtype=float)
-    out = theta.copy()
-    pos = 0
-    p1 = theta.p + 1
-    for z in range(theta.g - 1):
-        out.gating[z] = vec[pos:pos + p1]
-        pos += p1
-    d1 = theta.expert_width + 1
-    for z in range(theta.g):
-        if theta.family == "multinomial":
-            m = (theta.K - 1) * d1
-            out.beta[z, : theta.K - 1] = vec[pos:pos + m].reshape(theta.K - 1, d1)
-            out.beta[z, theta.K - 1] = 0.0
-            pos += m
-        else:
-            out.beta[z] = vec[pos:pos + d1]
-            pos += d1
-            if theta.family == "gaussian":
-                out.sigma2[z] = vec[pos]
-                pos += 1
-    if pos != vec.size:
+    n_gate = (theta.g - 1) * (theta.p + 1)
+    m = fam.expert_dim(theta.expert_width, theta.K)
+    if vec.size != n_gate + theta.g * m:
         raise InferenceError("parameter vector length mismatch")
+    out = theta.copy()
+    out.gating[:-1] = vec[:n_gate].reshape(theta.g - 1, theta.p + 1)
+    experts = vec[n_gate:].reshape(theta.g, m)
+    free = fam.free_coefs(out.beta)
+    free[:] = experts[:, :free[0].size].reshape(free.shape)
+    if fam.multiclass:
+        out.beta[:, -1] = 0.0
+    if fam.dispersion:
+        out.sigma2[:] = experts[:, -1]
     return out
 
 
 def score_matrix(data: Dataset, theta: MoeParams) -> np.ndarray:
-    """Analytic per-row gradients of the mixture log density, shape (n, dim)."""
+    """Analytic per-row gradients of the mixture log density, shape (n, dim).
+
+    The gating block z scores (tau_z - pi_z) x-tilde.  Every expert's
+    coefficients score tau_z (y - mu_z) times the expert design row, mu_z
+    being the family's mean (per free class for multinomial experts, and
+    divided by sigma2 for gaussian experts).
+    """
     check_compatible(data, theta)
-    n = data.n
+    fam = expert_family(theta.family)
+    n, g = data.n, theta.g
     tau = responsibilities(data, theta)
     gates = np.exp(gate_log_probs(data.X, theta.gating))
     Xt = add_intercept(data.X)
     Dt = add_intercept(theta.design.matrix(data.X))
-    y = data.y
-    cols = []
-    for z in range(theta.g - 1):
-        cols.append((tau[:, z] - gates[:, z])[:, None] * Xt)
-    for z in range(theta.g):
-        t = tau[:, z]
-        if theta.family == "gaussian":
-            mu = Dt @ theta.beta[z]
-            s2 = theta.sigma2[z]
-            resid = y - mu
-            cols.append((t * resid / s2)[:, None] * Dt)
-            cols.append((t * (resid ** 2 / (2.0 * s2 ** 2) - 0.5 / s2))[:, None])
-        elif theta.family == "logistic":
-            pi = 1.0 / (1.0 + np.exp(-(Dt @ theta.beta[z])))
-            cols.append((t * (y - pi))[:, None] * Dt)
-        elif theta.family == "poisson":
-            lam = np.exp(Dt @ theta.beta[z])
-            cols.append((t * (y - lam))[:, None] * Dt)
-        else:  # multinomial
-            scores = Dt @ theta.beta[z].T
-            m = scores.max(axis=1, keepdims=True)
-            pi = np.exp(scores - m)
-            pi /= pi.sum(axis=1, keepdims=True)
-            ind = np.zeros((n, theta.K))
-            ind[np.arange(n), y - 1] = 1.0
-            E = (ind - pi)[:, : theta.K - 1]
-            cols.append((t[:, None, None] * E[:, :, None] * Dt[:, None, :]).reshape(n, -1))
-    return np.concatenate(cols, axis=1)
+    gating = ((tau - gates)[:, :-1, None] * Xt[:, None, :]).reshape(n, -1)
+    resid = fam.target(data.y, theta.K) - fam.mean(theta.beta @ Dt.T)
+    E = tau.T[:, None, :] * fam.free_coefs(resid)  # (g, free classes, n)
+    sigma2_scores = []
+    if fam.dispersion:
+        s2 = theta.sigma2[:, None]
+        E = E / s2[:, None]
+        sigma2_scores = [(tau.T * (resid ** 2 / (2.0 * s2 ** 2) - 0.5 / s2)).T[:, :, None]]
+    coef_scores = (E[..., None] * Dt).transpose(2, 0, 1, 3).reshape(n, g, -1)
+    experts = np.concatenate([coef_scores] + sigma2_scores, axis=2)
+    return np.concatenate([gating, experts.reshape(n, -1)], axis=1)
 
 
 def score_vector(y, x: np.ndarray, theta: MoeParams) -> np.ndarray:

@@ -18,13 +18,6 @@ from .model import Dataset, ExpertDesign, ModelError, MoeParams
 
 SCHEMA_VERSION = 1
 
-KIND_FOR_FAMILY = {
-    "gaussian": "real",
-    "logistic": "binary",
-    "poisson": "count",
-    "multinomial": "categorical",
-}
-
 
 class FormatError(ValueError):
     pass
@@ -46,10 +39,10 @@ def write_dataset_csv(path, data: Dataset) -> None:
             w.writerow(row)
 
 
-def read_dataset_csv(path, kind: str, K: int | None = None,
-                     response_col: str = "y",
-                     covariate_cols: list[str] | None = None) -> Dataset:
-    path = Path(path)
+def _read_columns(path: Path, response_col: str,
+                  covariate_cols: list[str] | None, with_response: bool):
+    """Covariates (n, p), and the response and z_true columns when
+    ``with_response`` is set (z_true is None when the file has none)."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -57,7 +50,7 @@ def read_dataset_csv(path, kind: str, K: int | None = None,
         except StopIteration:
             raise FormatError(f"{path}: empty file") from None
         rows = [r for r in reader if r]
-    if response_col not in header:
+    if with_response and response_col not in header:
         raise FormatError(f"{path}: missing response column {response_col!r} "
                           f"(found columns: {header})")
     if covariate_cols is None:
@@ -67,17 +60,31 @@ def read_dataset_csv(path, kind: str, K: int | None = None,
         raise FormatError(f"{path}: missing covariate column(s) {missing} "
                           f"(found columns: {header})")
     xi = [header.index(c) for c in covariate_cols]
-    yi = header.index(response_col)
-    zi = header.index("z_true") if "z_true" in header else None
     try:
-        X = np.array([[float(r[j]) for j in xi] for r in rows])
+        X = np.array([[float(r[j]) for j in xi] for r in rows]).reshape(len(rows), len(xi))
+        if not with_response:
+            return X, None, None
+        yi = header.index(response_col)
+        zi = header.index("z_true") if "z_true" in header else None
         y = np.array([float(r[yi]) for r in rows])
         z = None if zi is None else np.array([int(float(r[zi])) for r in rows])
     except (ValueError, IndexError) as err:
         raise FormatError(f"{path}: malformed row ({err})") from None
-    if X.size == 0:
-        X = X.reshape(len(rows), 0)
+    return X, y, z
+
+
+def read_dataset_csv(path, kind: str, K: int | None = None,
+                     response_col: str = "y",
+                     covariate_cols: list[str] | None = None) -> Dataset:
+    X, y, z = _read_columns(Path(path), response_col, covariate_cols, True)
     return Dataset(X, y, kind, K=K, z_true=z)
+
+
+def read_covariates_csv(path, response_col: str = "y",
+                        covariate_cols: list[str] | None = None) -> np.ndarray:
+    """The covariate columns of a dataset CSV, (n, p); the response column
+    may be absent."""
+    return _read_columns(Path(path), response_col, covariate_cols, False)[0]
 
 
 def write_sidecar_json(path, payload: dict) -> None:

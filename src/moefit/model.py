@@ -4,27 +4,140 @@ Everything here is a pure function of immutable inputs: gating probabilities,
 expert log densities, the mixture log density, the log-quasi-likelihood, and
 component responsibilities.  All density work happens in log space with
 max-subtraction stabilization so that large linear predictors never overflow.
+``EXPERT_FAMILIES`` is the one table of family-specific kernels and layouts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
 
-FAMILIES = ("gaussian", "logistic", "poisson", "multinomial")
-
-RESPONSE_KIND_FOR_FAMILY = {
-    "gaussian": "real",
-    "logistic": "binary",
-    "poisson": "count",
-    "multinomial": "categorical",
-}
-
 
 class ModelError(ValueError):
     """Invalid model inputs (dimension mismatch, bad parameters, ...)."""
+
+
+def logsumexp(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Max-stabilized log-sum-exp of ``a`` reduced over ``axis``."""
+    m = a.max(axis=axis, keepdims=True)
+    e = np.exp(a - m)
+    s = e.sum(axis=axis, keepdims=True)
+    np.log(s, out=s)
+    s += m
+    return s.squeeze(axis)
+
+
+def softmax(a: np.ndarray, axis: int) -> np.ndarray:
+    """Max-stabilized softmax of ``a`` along ``axis``."""
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def log_softmax(a: np.ndarray, axis: int) -> np.ndarray:
+    """Max-stabilized log-softmax of ``a`` along ``axis``."""
+    shifted = a - a.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+@dataclass(frozen=True)
+class ExpertFamily:
+    """Everything that differs between expert families.
+
+    ``log_density(s, y, sigma2)`` maps linear predictors ``s`` to (g, n) log
+    densities.  ``mean`` is the inverse link (class probabilities for
+    multinomial experts); the links are canonical, so (y - mean) times the
+    design row is both an expert's Newton gradient and its per-row score.
+    ``variance`` is the GLM variance function of the mean, and
+    ``sample(rng, mean, sigma2)`` draws one response per row.  One expert
+    has d+1 free coefficients per free class, plus sigma2 with
+    ``dispersion``.  Separated responses drive ``separable`` coefficients to
+    infinity, so the Newton block caps them.
+    """
+
+    kind: str
+    log_density: Callable
+    mean: Callable
+    sample: Callable
+    variance: Callable | None = None
+    multiclass: bool = False
+    dispersion: bool = False
+    separable: bool = False
+
+    def free_classes(self, K: int | None) -> int:
+        """Free coefficient rows of one expert: K-1 (class K is pinned at
+        zero) for multinomial experts, one otherwise."""
+        if not self.multiclass:
+            return 1
+        if K is None or K < 2:
+            raise ModelError("multinomial experts require K >= 2")
+        return K - 1
+
+    def expert_dim(self, d: int, K: int | None) -> int:
+        """Free parameters of one expert with expert design width d."""
+        return self.free_classes(K) * (d + 1) + int(self.dispersion)
+
+    def free_coefs(self, a: np.ndarray) -> np.ndarray:
+        """View of the free classes of per-component blocks ``a`` (g, ...),
+        shape (g, free classes, ...)."""
+        return a[:, :-1] if self.multiclass else a[:, None]
+
+    def target(self, y: np.ndarray, K: int | None) -> np.ndarray:
+        """The response on the scale of ``mean``: (K, n) class indicators
+        for multinomial experts, ``y`` itself otherwise."""
+        if self.multiclass:
+            return (np.arange(1, K + 1)[:, None] == y[None, :]).astype(float)
+        return y
+
+
+# Linear predictors arrive component-major: ``s`` is (g, n), or (g, K, n) for
+# multinomial experts so that reductions over classes run across whole rows.
+# The class axis is axis 1 in every layout (the sampler passes (n, K) rows).
+EXPERT_FAMILIES = {
+    "gaussian": ExpertFamily(
+        kind="real",
+        log_density=lambda s, y, sigma2: -0.5 * (
+            np.log(2 * np.pi * sigma2)[:, None] + (y - s) ** 2 / sigma2[:, None]),
+        mean=lambda s: s,
+        sample=lambda rng, mu, sigma2: mu + rng.standard_normal(len(mu)) * np.sqrt(sigma2),
+        dispersion=True),
+    "logistic": ExpertFamily(
+        kind="binary",
+        # y*s - log(1 + e^s), stabilized
+        log_density=lambda s, y, sigma2: y * s - np.logaddexp(0.0, s),
+        mean=lambda s: 1.0 / (1.0 + np.exp(-s)),
+        sample=lambda rng, mu, sigma2: (rng.random(len(mu)) < mu).astype(int),
+        variance=lambda mu: mu * (1.0 - mu),
+        separable=True),
+    "poisson": ExpertFamily(
+        kind="count",
+        log_density=lambda s, y, sigma2: y * s - np.exp(s) - gammaln(y + 1.0),
+        mean=np.exp,
+        sample=lambda rng, mu, sigma2: rng.poisson(mu),
+        variance=lambda mu: mu),
+    "multinomial": ExpertFamily(
+        kind="categorical",
+        log_density=lambda s, y, sigma2: (
+            s[:, y - 1, np.arange(y.size)] - logsumexp(s, axis=1)),
+        mean=lambda s: softmax(s, axis=1),
+        # inverse-CDF draw of one class (1..K) per row
+        sample=lambda rng, probs, sigma2: (
+            np.cumsum(probs, axis=1) < rng.random(len(probs))[:, None]).sum(axis=1) + 1,
+        multiclass=True,
+        separable=True),
+}
+
+FAMILIES = tuple(EXPERT_FAMILIES)
+
+
+def expert_family(name: str) -> ExpertFamily:
+    """The table entry of the expert family called ``name``."""
+    try:
+        return EXPERT_FAMILIES[name]
+    except KeyError:
+        raise ModelError(f"unknown expert family: {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -138,14 +251,13 @@ class MoeParams:
     K: int | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ModelError(f"unknown expert family: {self.family!r}")
+        fam = expert_family(self.family)
         self.gating = np.atleast_2d(np.asarray(self.gating, dtype=float))
         self.beta = np.asarray(self.beta, dtype=float)
         if not np.all(np.isfinite(self.gating)) or not np.all(np.isfinite(self.beta)):
             raise ModelError("parameters must be finite")
         g = self.gating.shape[0]
-        if self.family == "multinomial":
+        if fam.multiclass:
             if self.K is None or self.K < 2:
                 raise ModelError("multinomial experts require K >= 2")
             if self.beta.ndim != 3 or self.beta.shape[:2] != (g, self.K):
@@ -153,7 +265,7 @@ class MoeParams:
         else:
             if self.beta.ndim != 2 or self.beta.shape[0] != g:
                 raise ModelError("beta must have shape (g, d+1)")
-        if self.family == "gaussian":
+        if fam.dispersion:
             if self.sigma2 is None:
                 raise ModelError("gaussian experts require sigma2")
             self.sigma2 = np.asarray(self.sigma2, dtype=float)
@@ -175,7 +287,7 @@ class MoeParams:
         return self.design.width(self.p)
 
     def response_kind(self) -> str:
-        return RESPONSE_KIND_FOR_FAMILY[self.family]
+        return expert_family(self.family).kind
 
     def copy(self) -> "MoeParams":
         return replace(
@@ -198,25 +310,8 @@ def check_compatible(data: Dataset, theta: MoeParams) -> None:
         raise ModelError(
             f"response kind {data.kind!r} does not match {theta.family!r} experts"
         )
-    if theta.family == "multinomial" and data.K != theta.K:
+    if expert_family(theta.family).multiclass and data.K != theta.K:
         raise ModelError(f"dataset K={data.K} but model K={theta.K}")
-
-
-def logsumexp(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Max-stabilized log-sum-exp of ``a`` reduced over ``axis``."""
-    m = a.max(axis=axis, keepdims=True)
-    e = np.exp(a - m)
-    s = e.sum(axis=axis, keepdims=True)
-    np.log(s, out=s)
-    s += m
-    return s.squeeze(axis)
-
-
-def _log_softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax with max subtraction."""
-    m = np.max(scores, axis=-1, keepdims=True)
-    shifted = scores - m
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def gate_log_probs(X: np.ndarray, gating: np.ndarray) -> np.ndarray:
@@ -229,7 +324,7 @@ def gate_log_probs(X: np.ndarray, gating: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(Xt)):
         raise ModelError("covariates must be finite")
-    return _log_softmax(Xt @ gating.T)
+    return log_softmax(Xt @ gating.T, axis=-1)
 
 
 def gate_probs(x: np.ndarray, gating: np.ndarray) -> np.ndarray:
@@ -240,25 +335,9 @@ def gate_probs(x: np.ndarray, gating: np.ndarray) -> np.ndarray:
 def expert_log_density_matrix(data: Dataset, theta: MoeParams) -> np.ndarray:
     """Per-row, per-component expert log densities, shape (n, g)."""
     check_compatible(data, theta)
-    D = theta.design.matrix(data.X)
-    Dt = add_intercept(D)
-    y = data.y
-    if theta.family == "gaussian":
-        mu = Dt @ theta.beta.T  # (n, g)
-        resid2 = (y[:, None] - mu) ** 2
-        return -0.5 * (np.log(2 * np.pi * theta.sigma2)[None, :] + resid2 / theta.sigma2[None, :])
-    if theta.family == "logistic":
-        s = Dt @ theta.beta.T
-        # y*s - log(1 + e^s), stabilized
-        return y[:, None] * s - np.logaddexp(0.0, s)
-    if theta.family == "poisson":
-        s = Dt @ theta.beta.T
-        return y[:, None] * s - np.exp(s) - gammaln(y + 1.0)[:, None]
-    # multinomial: class scores laid out (g, K, n) so that the log-sum-exp
-    # over classes reduces across whole rows
-    scores = theta.beta @ Dt.T
-    logp = scores[:, y - 1, np.arange(data.n)] - logsumexp(scores, axis=1)
-    return logp.T
+    Dt = add_intercept(theta.design.matrix(data.X))
+    ll = expert_family(theta.family).log_density(theta.beta @ Dt.T, data.y, theta.sigma2)
+    return np.ascontiguousarray(ll.T)
 
 
 def expert_log_density(y, x: np.ndarray, theta: MoeParams, z: int) -> float:
@@ -274,9 +353,7 @@ def _joint_log_density(data: Dataset, theta: MoeParams) -> np.ndarray:
 
 def moe_log_density_rows(data: Dataset, theta: MoeParams) -> np.ndarray:
     """Per-row mixture log densities, shape (n,)."""
-    joint = _joint_log_density(data, theta)
-    m = np.max(joint, axis=1)
-    return m + np.log(np.sum(np.exp(joint - m[:, None]), axis=1))
+    return logsumexp(_joint_log_density(data, theta), axis=1)
 
 
 def moe_log_density(y, x: np.ndarray, theta: MoeParams) -> float:
@@ -285,20 +362,13 @@ def moe_log_density(y, x: np.ndarray, theta: MoeParams) -> float:
 
 
 def log_quasi_likelihood(data: Dataset, theta: MoeParams) -> float:
-    """Sum of per-row mixture log densities, left-to-right."""
-    rows = moe_log_density_rows(data, theta)
-    total = 0.0
-    for v in rows:
-        total += v
-    return total
+    """Sum of per-row mixture log densities."""
+    return float(np.sum(moe_log_density_rows(data, theta)))
 
 
 def responsibilities(data: Dataset, theta: MoeParams) -> np.ndarray:
     """Posterior component probabilities per row, shape (n, g), row-stochastic."""
-    joint = _joint_log_density(data, theta)
-    m = np.max(joint, axis=1, keepdims=True)
-    w = np.exp(joint - m)
-    return w / np.sum(w, axis=1, keepdims=True)
+    return softmax(_joint_log_density(data, theta), axis=1)
 
 
 def permute_components(theta: MoeParams, perm) -> MoeParams:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import EstimationError, FitConfig, FitResult, multi_start_fit
-from .model import Dataset, ExpertDesign
+from .model import Dataset, ExpertDesign, expert_family
 
 
 class SelectionError(RuntimeError):
@@ -19,23 +19,11 @@ def param_count(g: int, p: int, family: str,
                 design: ExpertDesign | None = None, K: int | None = None) -> int:
     """Number of free parameters of a g-component model.
 
-    Gating contributes (g-1)(p+1); experts contribute per family with d the
-    expert design width.
+    Gating contributes (g-1)(p+1); each expert contributes its family's
+    layout with d the expert design width.
     """
     design = design or ExpertDesign()
-    d = design.width(p)
-    gating = (g - 1) * (p + 1)
-    if family == "gaussian":
-        experts = g * (d + 2)
-    elif family in ("logistic", "poisson"):
-        experts = g * (d + 1)
-    elif family == "multinomial":
-        if K is None or K < 2:
-            raise ValueError("multinomial param count requires K >= 2")
-        experts = g * (K - 1) * (d + 1)
-    else:
-        raise ValueError(f"unknown family: {family!r}")
-    return gating + experts
+    return (g - 1) * (p + 1) + g * expert_family(family).expert_dim(design.width(p), K)
 
 
 def bic(q_hat: float, dim: int, n: int) -> float:
@@ -72,8 +60,8 @@ class SelectionReport:
         buf = io.StringIO()
         buf.write("g,logQL,dim,bic,converged,degenerate\n")
         for r in self.rows:
-            q = "" if r.fit is None else repr(r.q_hat)
-            b = "" if r.fit is None else repr(r.bic)
+            q = "" if r.fit is None else repr(float(r.q_hat))
+            b = "" if r.fit is None else repr(float(r.bic))
             buf.write(f"{r.g},{q},{r.dim},{b},"
                       f"{int(r.converged)},{int(r.degenerate)}\n")
         return buf.getvalue()

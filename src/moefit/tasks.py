@@ -16,6 +16,8 @@ from .model import (
     MoeParams,
     add_intercept,
     gate_log_probs,
+    log_softmax,
+    logsumexp,
     responsibilities,
 )
 
@@ -36,11 +38,8 @@ def class_posteriors(X: np.ndarray, theta: MoeParams) -> np.ndarray:
     lg = gate_log_probs(X, theta.gating)  # (n, g)
     Dt = add_intercept(theta.design.matrix(X))
     scores = np.einsum("nd,gkd->ngk", Dt, theta.beta)
-    m = scores.max(axis=2, keepdims=True)
-    logpk = scores - m - np.log(np.exp(scores - m).sum(axis=2, keepdims=True))
-    joint = lg[:, :, None] + logpk  # (n, g, K)
-    jm = joint.max(axis=1, keepdims=True)
-    post = np.exp(jm[:, 0, :] + np.log(np.exp(joint - jm).sum(axis=1)))
+    joint = lg[:, :, None] + log_softmax(scores, axis=2)  # (n, g, K)
+    post = np.exp(logsumexp(joint, axis=1))
     return post / post.sum(axis=1, keepdims=True)
 
 

@@ -263,6 +263,16 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "expects 1" in err
 
+    # an empty file, and a row without the covariate column
+    @pytest.mark.parametrize("text", ["", "y,x1\n1.0\n"], ids=["empty", "short-row"])
+    def test_bad_covariate_file_exits_2(self, tmp_path, line_model, capsys, text):
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        code = run(["predict", "--model", str(line_model), "--data", str(data),
+                    "--mode", "mean", "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSummarize:
     def test_prints_model_shape(self, tmp_path, line_model, capsys):

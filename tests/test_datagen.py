@@ -109,6 +109,30 @@ class TestGenMoeSample:
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.z_true, b.z_true)
 
+    # draws recorded before the samplers moved into the family table; the
+    # random stream of every GLM family must stay exactly as it was
+    PINNED_Z = [2, 1, 1, 2, 2, 1, 2, 2, 1, 1, 2, 1, 1, 2, 2, 1, 1, 1, 1, 1]
+    PINNED = {
+        "logistic": [1, 1, 1, 1, 0, 1, 1, 1, 1, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1],
+        "poisson": [6, 0, 3, 6, 4, 5, 4, 10, 3, 5, 6, 2, 3, 5, 4, 4, 2, 2, 5, 2],
+        "multinomial": [1, 1, 1, 1, 3, 1, 1, 1, 1, 3, 1, 2, 1, 1, 2, 1, 1, 1, 1, 1],
+    }
+
+    @pytest.mark.parametrize("family", sorted(PINNED))
+    def test_seeded_draw_pinned(self, family):
+        gating = np.array([[0.5, 1.5], [0.0, 0.0]])
+        beta = {
+            "logistic": np.array([[0.3, 2.0], [-0.5, -1.5]]),
+            "poisson": np.array([[0.8, 0.6], [1.5, -0.4]]),
+            "multinomial": np.array([[[1.0, 2.0], [-0.5, 0.5], [0.0, 0.0]],
+                                     [[0.2, -1.0], [0.7, 1.2], [0.0, 0.0]]]),
+        }[family]
+        theta = MoeParams(family=family, gating=gating, beta=beta,
+                          K=3 if family == "multinomial" else None)
+        data = gen_moe_sample(theta, uniform_box_sampler([-2.0], [2.0]), 20, seed=11)
+        assert data.y.tolist() == self.PINNED[family]
+        assert data.z_true.tolist() == self.PINNED_Z
+
     def test_bad_sampler_shape_rejected(self):
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
                           beta=np.array([[0.0, 1.0]]), sigma2=np.array([1.0]))

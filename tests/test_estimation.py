@@ -23,10 +23,10 @@ from moefit.estimation import (
 from moefit.estimation import (
     _GlmData,
     _glm_grad_hess,
-    _glm_ll,
     _newton_directions,
 )
 from moefit.model import (
+    EXPERT_FAMILIES,
     Dataset,
     ExpertDesign,
     MoeParams,
@@ -110,6 +110,15 @@ class TestGatingBlockUpdate:
             gating_block_update(data, theta, 0)
         with pytest.raises(RankDeficientError):
             fit(data, theta)
+
+    def test_fit_keeps_error_subclass(self):
+        # a gate that starves component 1 from the first cycle
+        data = gen_moe_sample(two_line_truth(), uniform_box_sampler([-3.0], [3.0]),
+                              50, seed=5)
+        init = two_line_truth()
+        init.gating[0] = [-2000.0, 0.0]
+        with pytest.raises(EmptyComponentError, match="cycle 1: component"):
+            fit(data, init)
 
     def test_block_index_range_checked(self):
         data, theta = random_gaussian_instance(0)
@@ -266,6 +275,11 @@ class TestGlmExpertBlockUpdate:
         glm = _GlmData.build(family, Dt, y, 3 if family == "multinomial" else None)
         W = rng.uniform(0.1, 1.0, size=(b, n))
         grad, hess = _glm_grad_hess(glm, W, beta)
+        log_density = EXPERT_FAMILIES[family].log_density
+
+        def weighted_ll(beta):
+            return np.einsum("bn,bn->b", W, log_density(beta @ Dt.T, y, None))
+
         free = beta[:, :-1] if family == "multinomial" else beta
         m = free[0].size
         h = 1e-6
@@ -277,8 +291,7 @@ class TestGlmExpertBlockUpdate:
                 shift[:, :-1] = e.reshape(free.shape[1:])
             else:
                 shift[:] = e
-            fd_grad = (_glm_ll(glm, W, beta + shift)
-                       - _glm_ll(glm, W, beta - shift)) / (2 * h)
+            fd_grad = (weighted_ll(beta + shift) - weighted_ll(beta - shift)) / (2 * h)
             fd_hess = (_glm_grad_hess(glm, W, beta + shift)[0]
                        - _glm_grad_hess(glm, W, beta - shift)[0]) / (2 * h)
             assert np.allclose(grad[:, i], fd_grad, rtol=1e-6, atol=1e-6)

@@ -16,7 +16,14 @@ from moefit.inference import (
     standard_errors,
     unflatten_params,
 )
-from moefit.model import Dataset, ExpertDesign, MoeParams, moe_log_density
+from moefit.model import (
+    Dataset,
+    ExpertDesign,
+    MoeParams,
+    gate_log_probs,
+    moe_log_density,
+    responsibilities,
+)
 from moefit.tasks import predict_mean
 
 
@@ -55,11 +62,43 @@ def fd_score(y, x, theta):
     return grad
 
 
+FAMILIES = ["gaussian", "logistic", "poisson", "multinomial"]
+
+
+def loop_score_matrix(data, theta):
+    """Per-row scores computed one component at a time, written out per
+    family; the reference for the component-batched ``score_matrix``."""
+    n, y = data.n, data.y
+    tau = responsibilities(data, theta)
+    gates = np.exp(gate_log_probs(data.X, theta.gating))
+    Xt = np.column_stack([np.ones(n), data.X])
+    Dt = np.column_stack([np.ones(n), theta.design.matrix(data.X)])
+    cols = [(tau[:, z] - gates[:, z])[:, None] * Xt for z in range(theta.g - 1)]
+    for z in range(theta.g):
+        t = tau[:, z]
+        if theta.family == "gaussian":
+            s2 = theta.sigma2[z]
+            resid = y - Dt @ theta.beta[z]
+            cols.append((t * resid / s2)[:, None] * Dt)
+            cols.append((t * (resid ** 2 / (2.0 * s2 ** 2) - 0.5 / s2))[:, None])
+        elif theta.family == "logistic":
+            pi = 1.0 / (1.0 + np.exp(-(Dt @ theta.beta[z])))
+            cols.append((t * (y - pi))[:, None] * Dt)
+        elif theta.family == "poisson":
+            cols.append((t * (y - np.exp(Dt @ theta.beta[z])))[:, None] * Dt)
+        else:
+            scores = Dt @ theta.beta[z].T
+            pi = np.exp(scores - scores.max(axis=1, keepdims=True))
+            pi /= pi.sum(axis=1, keepdims=True)
+            E = ((np.arange(1, theta.K + 1) == y[:, None]) - pi)[:, : theta.K - 1]
+            cols.append((t[:, None, None] * E[:, :, None] * Dt[:, None, :]).reshape(n, -1))
+    return np.concatenate(cols, axis=1)
+
+
 class TestScoreVector:
-    @pytest.mark.parametrize("family",
-                             ["gaussian", "logistic", "poisson", "multinomial"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_finite_differences(self, family):
-        rng = np.random.default_rng(hash(family) % 2**32)
+        rng = np.random.default_rng(FAMILIES.index(family))
         for _ in range(50):
             theta = random_theta(family, rng)
             y, x = random_obs(family, rng)
@@ -67,6 +106,18 @@ class TestScoreVector:
             numeric = fd_score(y, x, theta)
             scale = np.maximum(np.abs(numeric), 1.0)
             assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matrix_matches_component_loop(self, family):
+        rng = np.random.default_rng(10 + FAMILIES.index(family))
+        for g in (1, 3):
+            theta = random_theta(family, rng, g=g, p=2)
+            obs = [random_obs(family, rng, p=2) for _ in range(30)]
+            data = Dataset(np.array([x for _, x in obs]), np.array([y for y, _ in obs]),
+                           theta.response_kind(), K=theta.K)
+            got, want = score_matrix(data, theta), loop_score_matrix(data, theta)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_g1_gaussian_classical_form(self):
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),

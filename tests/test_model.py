@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from moefit.model import (
+    EXPERT_FAMILIES,
+    FAMILIES,
     Dataset,
     ExpertDesign,
     ModelError,
@@ -293,3 +296,47 @@ def test_moe_log_density_rows_matches_scalar():
     for i in range(2):
         assert rows[i] == pytest.approx(
             moe_log_density(data.y[i], data.X[i], theta), abs=1e-14)
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_log_density_matches_scipy(self, family):
+        rng = np.random.default_rng(FAMILIES.index(family))
+        fam = EXPERT_FAMILIES[family]
+        g, n, K = 3, 40, 4
+        sigma2 = rng.uniform(0.5, 2.0, size=g)
+        if family == "multinomial":
+            s = rng.normal(size=(g, K, n)) * 2.0
+            y = rng.integers(1, K + 1, size=n)
+            probs = special.softmax(s, axis=1)
+            want = np.log(probs[:, y - 1, np.arange(n)])
+        else:
+            s = rng.normal(size=(g, n)) * 2.0
+            if family == "gaussian":
+                y = rng.normal(size=n) * 3.0
+                want = stats.norm.logpdf(y, loc=s, scale=np.sqrt(sigma2)[:, None])
+            elif family == "logistic":
+                y = rng.integers(0, 2, size=n)
+                want = stats.bernoulli.logpmf(y, special.expit(s))
+            else:
+                y = rng.poisson(3.0, size=n)
+                want = stats.poisson.logpmf(y, np.exp(s))
+        got = fam.log_density(s, y, sigma2)
+        assert got.shape == (g, n)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_layout_matches_parameter_shapes(self, family):
+        fam = EXPERT_FAMILIES[family]
+        K = 3 if fam.multiclass else None
+        d = 2
+        beta = np.zeros((2, K, d + 1) if fam.multiclass else (2, d + 1))
+        free = fam.free_coefs(beta)
+        assert free.shape == (2, fam.free_classes(K), d + 1)
+        assert np.shares_memory(free, beta)
+        assert fam.expert_dim(d, K) == free[0].size + fam.dispersion
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ModelError, match="unknown expert family"):
+            MoeParams(family="gamma", gating=np.zeros((1, 2)),
+                      beta=np.zeros((1, 2)))

@@ -108,6 +108,16 @@ class TestSelectG:
         assert lines[0] == "g,logQL,dim,bic,converged,degenerate"
         assert len(lines) == 3
 
+    def test_report_csv_numbers_parse(self):
+        truth = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
+                          beta=np.array([[0.0, 1.0]]), sigma2=np.array([1.0]))
+        data = gen_moe_sample(truth, uniform_box_sampler([-2.0], [2.0]), 150, seed=3)
+        report = select_g(data, 2, "gaussian", config=FitConfig(n_starts=2, max_cycles=60))
+        for line in report.to_csv().strip().splitlines()[1:]:
+            cells = line.split(",")
+            for cell in (cells[1], cells[3]):  # logQL, bic
+                assert np.isfinite(float(cell))
+
     def test_invalid_grid_rejected(self):
         data = gen_moe_sample(
             MoeParams(family="gaussian", gating=np.zeros((1, 2)),
