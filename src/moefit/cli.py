@@ -7,9 +7,7 @@ Every command is deterministic given its full argument list including --seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -17,7 +15,7 @@ import numpy as np
 
 from . import datagen, io, tasks
 from .estimation import EstimationError, FitConfig, multi_start_fit
-from .inference import InferenceError, mean_ci, sandwich_covariance, standard_errors
+from .inference import InferenceError, mean_ci_rows, sandwich_covariance
 from .model import (FAMILIES, ExpertDesign, ModelError, expert_family,
                     gate_log_probs, responsibilities)
 from .selection import SelectionError, bic, param_count, select_g
@@ -45,7 +43,6 @@ def _fit_config(args) -> FitConfig:
     return FitConfig(
         max_cycles=args.max_cycles,
         rel_tol=args.rel_tol,
-        variance_floor_factor=args.variance_floor_factor,
         n_starts=args.starts,
         seed=args.seed,
         irls_max_inner=args.irls_max_inner,
@@ -57,10 +54,8 @@ def _add_fit_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-cycles", type=int, default=1000)
     p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--variance-floor-factor", type=float, default=1e-10)
     p.add_argument("--irls-max-inner", type=int, default=25)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("MOEFIT_THREADS", "1")))
+    p.add_argument("--threads", type=int, default=1)
 
 
 def _add_data_flags(p):
@@ -177,7 +172,7 @@ def cmd_predict(args) -> int:
         raise UsageError(
             f"model expects {theta.p} covariate column(s), data has {X.shape[1]}")
     header = [f"x{j + 1}" for j in range(theta.p)]
-    out_rows = []
+    columns = list(X.T)
     if args.mode in ("classify", "cluster-posterior", "cluster-gate"):
         if args.mode == "classify":
             probs = tasks.class_posteriors(X, theta)
@@ -185,33 +180,24 @@ def cmd_predict(args) -> int:
             probs = responsibilities(data, theta)
         else:
             probs = np.exp(gate_log_probs(X, theta.gating))
-        labels = np.argmax(probs, axis=1) + 1
         prefix = "gate" if args.mode == "cluster-gate" else "post"
         header += [f"{prefix}_{k + 1}" for k in range(probs.shape[1])] + ["label"]
-        for i in range(X.shape[0]):
-            out_rows.append(list(X[i]) + list(probs[i]) + [int(labels[i])])
+        columns += list(probs.T) + [np.argmax(probs, axis=1) + 1]
     elif args.mode in ("mean", "variance"):
         predict = (tasks.predict_mean_rows if args.mode == "mean"
                    else tasks.predict_variance_rows)
-        v = predict(X, theta)
         header += [args.mode]
-        out_rows = [list(X[i]) + [v[i]] for i in range(X.shape[0])]
+        columns.append(predict(X, theta))
     else:  # mean-ci
         if "covariance" not in doc:
             raise UsageError(
                 "mean-ci requires a model saved with --with-covariance")
+        if theta.family != "gaussian":
+            raise UsageError("mean-ci requires gaussian experts")
         cov = np.asarray(doc["covariance"]["matrix"])
         header += ["mean", "lower", "upper"]
-        for i in range(X.shape[0]):
-            m = tasks.predict_mean(X[i], theta)
-            lo, hi = mean_ci(X[i], theta, cov, args.level)
-            out_rows.append(list(X[i]) + [m, lo, hi])
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in out_rows:
-            w.writerow([repr(float(v)) if isinstance(v, float) else v
-                        for v in row])
+        columns += mean_ci_rows(X, theta, cov, args.level)
+    io.write_csv(args.out, header, columns)
     return 0
 
 

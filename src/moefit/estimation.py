@@ -26,12 +26,15 @@ from .model import (
     expert_family,
     expert_log_density_matrix,
     gate_log_probs,
+    kron_gram,
     log_quasi_likelihood,
     logsumexp,
     responsibilities,
 )
 
 STARVATION_FACTOR = 1e-12
+# gaussian variances are floored at this fraction of the response variance
+VARIANCE_FLOOR_FACTOR = 1e-10
 GLM_COEF_CAP = 30.0
 # hybrid gating acceleration: every outer cycle sweeps the gating blocks
 # GATING_ROUNDS times, and each curvature-bound step is lengthened by doubling,
@@ -61,7 +64,6 @@ class InfeasibleInitError(EstimationError):
 class FitConfig:
     max_cycles: int = 1000
     rel_tol: float = 1e-8
-    variance_floor_factor: float = 1e-10
     n_starts: int = 10
     seed: int = 0
     irls_max_inner: int = 25
@@ -151,9 +153,9 @@ def gating_curvature_hessian(data: Dataset, theta: MoeParams, z: int) -> np.ndar
     return -(Xt * a[:, None]).T @ Xt
 
 
-def variance_floor(data: Dataset, config: FitConfig) -> float:
+def variance_floor(data: Dataset) -> float:
     v = float(np.var(data.y.astype(float)))
-    return config.variance_floor_factor * max(v, np.finfo(float).tiny)
+    return VARIANCE_FLOOR_FACTOR * max(v, np.finfo(float).tiny)
 
 
 def _check_starvation(tau: np.ndarray, n: int) -> None:
@@ -199,26 +201,20 @@ class _GlmData(NamedTuple):
 
     ``DtT`` is the transposed design, so expert scores come out as (b, n), or
     (b, K, n) for multinomial experts, and every reduction over classes or
-    components runs across whole contiguous rows.  ``DD`` holds the row outer
-    products of the design, (n, (d+1)**2), so that one matrix product gives
-    every weighted Gram matrix of the batch.
+    components runs across whole contiguous rows.
     """
 
     fam: ExpertFamily
     Dt: np.ndarray
     DtT: np.ndarray
-    DD: np.ndarray
     y: np.ndarray
     target: np.ndarray  # the response on the scale of the family's mean
 
     @classmethod
     def build(cls, family: str, Dt: np.ndarray, y: np.ndarray,
               K: int | None) -> "_GlmData":
-        n, d1 = Dt.shape
         fam = expert_family(family)
-        return cls(fam, Dt, np.ascontiguousarray(Dt.T),
-                   (Dt[:, :, None] * Dt[:, None, :]).reshape(n, d1 * d1),
-                   y, fam.target(y, K))
+        return cls(fam, Dt, np.ascontiguousarray(Dt.T), y, fam.target(y, K))
 
 
 def _glm_ll(glm: _GlmData, W: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -234,21 +230,10 @@ def _glm_grad_hess(glm: _GlmData, W: np.ndarray, beta: np.ndarray):
     """Gradients (b, m) and Hessians (b, m, m) of a batch of weighted expert
     log-likelihoods, m being the number of free coefficients per expert."""
     b, n = W.shape
-    d1 = glm.Dt.shape[1]
     mu = glm.fam.mean(beta @ glm.DtT)
-    if glm.fam.multiclass:
-        P = mu[:, :-1]  # free classes 1..K-1
-        k = P.shape[1]
-        wP = W[:, None, :] * P
-        grad = (W[:, None, :] * (glm.target[:-1] - P)) @ glm.Dt  # (b, k, d+1)
-        wkl = wP[:, :, None, :] * P[:, None, :, :]
-        wkl[:, np.arange(k), np.arange(k)] -= wP
-        hess = (wkl.reshape(-1, n) @ glm.DD).reshape(b, k, k, d1, d1)
-        return (grad.reshape(b, k * d1),
-                hess.transpose(0, 1, 3, 2, 4).reshape(b, k * d1, k * d1))
-    grad = (W * (glm.target - mu)) @ glm.Dt
-    hess = -((W * glm.fam.variance(mu)) @ glm.DD).reshape(b, d1, d1)
-    return grad, hess
+    resid = glm.fam.free_coefs(glm.target - mu)  # (b, free classes, n)
+    grad = (W[:, None, :] * resid).reshape(-1, n) @ glm.Dt
+    return grad.reshape(b, -1), -kron_gram(W, glm.fam.mean_cov(mu), glm.Dt)
 
 
 def _newton_directions(A: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -377,7 +362,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     solve_H = (_psd_solver(gating_gram(data), "gating design Gram matrix")
                if g > 1 else None)
     gaussian = theta.family == "gaussian"
-    floor = variance_floor(data, config) if gaussian else 0.0
+    floor = variance_floor(data) if gaussian else 0.0
     Xt = add_intercept(data.X)
     L = np.ascontiguousarray(expert_log_density_matrix(data, theta).T)
     S = np.ascontiguousarray((Xt @ theta.gating.T).T)
@@ -533,7 +518,7 @@ def initialize(data: Dataset, g: int, family: str, design: ExpertDesign,
         glm = _GlmData.build(family, Dt, data.y, K)
         beta, _ = _weighted_glm_fit(glm, W, beta, config.irls_max_inner)
     else:
-        floor = variance_floor(data, config)
+        floor = variance_floor(data)
         sigma2 = np.ones(g)
         for z, w in enumerate(W):
             G = (Dt * w[:, None]).T @ Dt

@@ -1,10 +1,9 @@
 """Score vectors, sandwich covariance, and delta-method mean intervals.
 
-Per-observation scores are analytic.  The bread (average per-row Hessian) is
-obtained by central finite differences of the analytic total score, which
-keeps the meat exact while avoiding hand-derived Hessians for four expert
-families.  Parameter ordering everywhere follows the serialized layout:
-gating blocks 1..g-1, then expert blocks 1..g.
+Per-observation scores and the bread (average per-row Hessian) are analytic:
+both come from each component's complete-data score, the bread through
+Louis' identity.  Parameter ordering everywhere follows the serialized
+layout: gating blocks 1..g-1, then expert blocks 1..g.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.stats import norm
 
 from .model import (
@@ -20,12 +20,11 @@ from .model import (
     add_intercept,
     check_compatible,
     expert_family,
+    free_class_cov,
     gate_log_probs,
+    kron_gram,
     responsibilities,
 )
-from .tasks import predict_mean
-
-HESSIAN_FD_STEP = 1e-5
 
 
 class InferenceError(RuntimeError):
@@ -78,13 +77,16 @@ def unflatten_params(theta: MoeParams, vec: np.ndarray) -> MoeParams:
     return out
 
 
-def score_matrix(data: Dataset, theta: MoeParams) -> np.ndarray:
-    """Analytic per-row gradients of the mixture log density, shape (n, dim).
+def _scores(data: Dataset, theta: MoeParams):
+    """Responsibilities tau (n, g), gate probabilities pi (n, g), x-tilde,
+    each expert's per-row score s (g, n, m), the sums over rows of tau_z
+    times the Hessian of log f_z, (g, m, m), and the per-row scores S
+    (n, dim) of the mixture log density.
 
-    The gating block z scores (tau_z - pi_z) x-tilde.  Every expert's
-    coefficients score tau_z (y - mu_z) times the expert design row, mu_z
-    being the family's mean (per free class for multinomial experts, and
-    divided by sigma2 for gaussian experts).
+    Expert z's coefficients score (y - mu_z) times the expert design row per
+    free class (over sigma2 for gaussian experts, which add the sigma2
+    score).  S scores gating block j with (tau_j - pi_j) x-tilde and expert
+    block z with tau_z s_z.
     """
     check_compatible(data, theta)
     fam = expert_family(theta.family)
@@ -93,17 +95,29 @@ def score_matrix(data: Dataset, theta: MoeParams) -> np.ndarray:
     gates = np.exp(gate_log_probs(data.X, theta.gating))
     Xt = add_intercept(data.X)
     Dt = add_intercept(theta.design.matrix(data.X))
-    gating = ((tau - gates)[:, :-1, None] * Xt[:, None, :]).reshape(n, -1)
-    resid = fam.target(data.y, theta.K) - fam.mean(theta.beta @ Dt.T)
-    E = tau.T[:, None, :] * fam.free_coefs(resid)  # (g, free classes, n)
-    sigma2_scores = []
+    mu = fam.mean(theta.beta @ Dt.T)
+    resid = fam.free_coefs(fam.target(data.y, theta.K) - mu)  # (g, k, n)
+    W = tau.T / theta.sigma2[:, None] if fam.dispersion else tau.T
+    E = resid / theta.sigma2[:, None, None] if fam.dispersion else resid
+    s = [(E[..., None] * Dt).transpose(0, 2, 1, 3).reshape(g, n, -1)]
+    hess = -kron_gram(W, fam.mean_cov(mu), Dt)
     if fam.dispersion:
-        s2 = theta.sigma2[:, None]
-        E = E / s2[:, None]
-        sigma2_scores = [(tau.T * (resid ** 2 / (2.0 * s2 ** 2) - 0.5 / s2)).T[:, :, None]]
-    coef_scores = (E[..., None] * Dt).transpose(2, 0, 1, 3).reshape(n, g, -1)
-    experts = np.concatenate([coef_scores] + sigma2_scores, axis=2)
-    return np.concatenate([gating, experts.reshape(n, -1)], axis=1)
+        # d/ds2 = r^2/(2 s2^2) - 1/(2 s2); d2/db ds2 = -r d/s2^2;
+        # d2/ds2^2 = 1/(2 s2^2) - r^2/s2^3, r being y - mu
+        r, s2 = resid[:, 0], theta.sigma2[:, None]
+        s.append((r ** 2 / (2.0 * s2 ** 2) - 0.5 / s2)[..., None])
+        cross = -((W * r / s2) @ Dt)[:, :, None]
+        ss = (tau.T * (0.5 / s2 ** 2 - r ** 2 / s2 ** 3)).sum(axis=1)[:, None, None]
+        hess = np.block([[hess, cross], [cross.transpose(0, 2, 1), ss]])
+    s = np.concatenate(s, axis=2)
+    S = np.concatenate([((tau - gates)[:, :-1, None] * Xt[:, None, :]).reshape(n, -1),
+                        (tau.T[:, :, None] * s).transpose(1, 0, 2).reshape(n, -1)], axis=1)
+    return tau, gates, Xt, s, hess, S
+
+
+def score_matrix(data: Dataset, theta: MoeParams) -> np.ndarray:
+    """Analytic per-row gradients of the mixture log density, shape (n, dim)."""
+    return _scores(data, theta)[-1]
 
 
 def score_vector(y, x: np.ndarray, theta: MoeParams) -> np.ndarray:
@@ -120,24 +134,32 @@ class SandwichCovariance:
     labels: list[str]
 
 
-def _total_score(data: Dataset, theta: MoeParams, vec: np.ndarray) -> np.ndarray:
-    return score_matrix(data, unflatten_params(theta, vec)).sum(axis=0)
-
-
 def sandwich_covariance(data: Dataset, theta: MoeParams) -> SandwichCovariance:
-    """Bread-inverse meat bread-inverse covariance of the fitted parameters."""
-    vec = flatten_params(theta)
-    dim = vec.size
-    S = score_matrix(data, theta)
-    meat = S.T @ S / data.n
-    bread = np.empty((dim, dim))
-    for j in range(dim):
-        h = HESSIAN_FD_STEP * (1.0 + abs(vec[j]))
-        up, dn = vec.copy(), vec.copy()
-        up[j] += h
-        dn[j] -= h
-        bread[:, j] = (_total_score(data, theta, up) - _total_score(data, theta, dn)) / (2.0 * h)
-    bread = 0.5 * (bread + bread.T) / data.n
+    """Bread-inverse meat bread-inverse covariance of the fitted parameters.
+
+    The bread is the exact average Hessian of the per-row mixture log
+    density, by Louis' identity: the tau-weighted Hessian of the
+    complete-data log density a_z = log pi_z + log f_z plus the
+    tau-covariance of its gradient.  That gradient minus the score S is
+    (e_z - tau) (x) x-tilde over the free gating rows, and s_z in expert
+    block z less tau_w s_w in every expert block w.  log pi_z has the
+    gating Hessian -(diag pi - pi pi^T) (x) x-tilde x-tilde^T for every z,
+    and gating and expert parameters do not mix in a_z.
+    """
+    tau, gates, Xt, s, hess, S = _scores(data, theta)
+    n, g = tau.shape
+    q = (g - 1) * Xt.shape[1]
+    S_experts = S[:, q:]
+    gate = kron_gram(np.ones((1, n)), free_class_cov(tau.T[None])
+                     - free_class_cov(gates.T[None]), Xt)[0]
+    cross = np.hstack([
+        ((np.eye(g)[z, :-1] - tau[:, :-1])[:, :, None] * Xt[:, None, :]).reshape(n, q).T
+        @ (tau[:, z, None] * s[z]) for z in range(g)])
+    experts = (block_diag(*(hess + np.einsum("zn,znm,znl->zml", tau.T, s, s)))
+               - S_experts.T @ S_experts)
+    bread = np.block([[gate, cross], [cross.T, experts]]) / n
+    meat = S.T @ S / n
+    bread = 0.5 * (bread + bread.T)
     try:
         binv = np.linalg.inv(bread)
     except np.linalg.LinAlgError:
@@ -156,23 +178,36 @@ def standard_errors(sw: SandwichCovariance) -> np.ndarray:
     return np.sqrt(np.maximum(np.diag(sw.cov), 0.0))
 
 
-def mean_ci(x: np.ndarray, theta: MoeParams, cov: np.ndarray,
-            level: float = 0.95) -> tuple[float, float]:
-    """Delta-method confidence interval for the mean function at ``x``."""
+def mean_ci_rows(X: np.ndarray, theta: MoeParams, cov: np.ndarray,
+                 level: float = 0.95):
+    """Delta-method confidence intervals for the mean function at every row
+    of ``X``; returns (mean, lower, upper), each (n,).
+
+    For the mean m = sum_z pi_z mu_z, dm/d(gating row z) is
+    pi_z (mu_z - m) x-tilde and dm/d(beta_z) is pi_z times the expert design
+    row; m does not depend on sigma2.
+    """
     if theta.family != "gaussian":
         raise InferenceError("mean intervals require gaussian experts")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    vec = flatten_params(theta)
-    grad = np.empty(vec.size)
-    for j in range(vec.size):
-        h = 1e-6 * (1.0 + abs(vec[j]))
-        up, dn = vec.copy(), vec.copy()
-        up[j] += h
-        dn[j] -= h
-        grad[j] = (predict_mean(x, unflatten_params(theta, up))
-                   - predict_mean(x, unflatten_params(theta, dn))) / (2.0 * h)
-    m = predict_mean(x, theta)
-    var = float(grad @ cov @ grad)
-    half = norm.ppf(0.5 * (1.0 + level)) * np.sqrt(max(var, 0.0))
-    return m - half, m + half
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    n = X.shape[0]
+    gates = np.exp(gate_log_probs(X, theta.gating))
+    Dt = add_intercept(theta.design.matrix(X))
+    mu = Dt @ theta.beta.T  # (n, g)
+    m = np.sum(gates * mu, axis=1)
+    dgate = (gates * (mu - m[:, None]))[:, :-1, None] * add_intercept(X)[:, None, :]
+    dbeta = np.pad(gates[:, :, None] * Dt[:, None, :], ((0, 0), (0, 0), (0, 1)))
+    grad = np.concatenate(
+        [a.reshape(n, a.shape[1] * a.shape[2]) for a in (dgate, dbeta)], axis=1)
+    var = np.einsum("ni,ij,nj->n", grad, cov, grad)
+    half = norm.ppf(0.5 * (1.0 + level)) * np.sqrt(np.maximum(var, 0.0))
+    return m, m - half, m + half
+
+
+def mean_ci(x: np.ndarray, theta: MoeParams, cov: np.ndarray,
+            level: float = 0.95) -> tuple[float, float]:
+    """Delta-method confidence interval for the mean function at ``x``."""
+    _, lo, hi = mean_ci_rows(np.atleast_2d(x), theta, cov, level)
+    return float(lo[0]), float(hi[0])

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .inference import param_labels
 from .model import Dataset, ExpertDesign, ModelError, MoeParams
 
 SCHEMA_VERSION = 1
@@ -23,20 +24,24 @@ class FormatError(ValueError):
     pass
 
 
-def write_dataset_csv(path, data: Dataset) -> None:
-    path = Path(path)
-    cols = [f"x{j + 1}" for j in range(data.p)] + ["y"]
-    if data.z_true is not None:
-        cols.append("z_true")
-    with path.open("w", newline="") as fh:
+def write_csv(path, header: list[str], columns) -> None:
+    """Write equal-length ``columns`` under ``header``: integer columns as
+    integers, every other column as repr(float)."""
+    cells = [map(str, c.tolist()) if np.issubdtype(c.dtype, np.integer)
+             else map(repr, c.astype(float).tolist()) for c in map(np.asarray, columns)]
+    with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(cols)
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.X[i]]
-            row.append(repr(float(data.y[i])) if data.kind == "real" else str(int(data.y[i])))
-            if data.z_true is not None:
-                row.append(str(int(data.z_true[i])))
-            w.writerow(row)
+        w.writerow(header)
+        w.writerows(zip(*cells))
+
+
+def write_dataset_csv(path, data: Dataset) -> None:
+    header = [f"x{j + 1}" for j in range(data.p)] + ["y"]
+    columns = list(data.X.T) + [data.y]
+    if data.z_true is not None:
+        header.append("z_true")
+        columns.append(np.asarray(data.z_true).astype(int))
+    write_csv(path, header, columns)
 
 
 def _read_columns(path: Path, response_col: str,
@@ -121,7 +126,7 @@ def model_from_dict(doc: dict) -> MoeParams:
         )
     try:
         experts = doc["experts"]
-        return MoeParams(
+        theta = MoeParams(
             family=doc["family"],
             gating=np.asarray(doc["gating"], dtype=float),
             beta=np.asarray(experts["beta"], dtype=float),
@@ -130,8 +135,16 @@ def model_from_dict(doc: dict) -> MoeParams:
                     if "sigma2" in experts else None),
             K=doc.get("K"),
         )
-    except (KeyError, ModelError) as err:
+        if "covariance" in doc:
+            labels = param_labels(theta)
+            cov = doc["covariance"]
+            shape = np.asarray(cov["matrix"], dtype=float).shape
+            if cov["order"] != labels or shape != (len(labels), len(labels)):
+                raise FormatError(f"covariance block does not match the model's "
+                                  f"{len(labels)} parameters")
+    except (KeyError, TypeError, ValueError) as err:  # ModelError, FormatError too
         raise FormatError(f"malformed model document: {err}") from None
+    return theta
 
 
 def save_model(path, theta: MoeParams, fit_meta: dict | None = None,

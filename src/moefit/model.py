@@ -50,18 +50,20 @@ class ExpertFamily:
     densities.  ``mean`` is the inverse link (class probabilities for
     multinomial experts); the links are canonical, so (y - mean) times the
     design row is both an expert's Newton gradient and its per-row score.
-    ``variance`` is the GLM variance function of the mean, and
-    ``sample(rng, mean, sigma2)`` draws one response per row.  One expert
-    has d+1 free coefficients per free class, plus sigma2 with
-    ``dispersion``.  Separated responses drive ``separable`` coefficients to
+    ``mean_cov`` maps the mean to the per-row covariance of the free
+    sufficient statistics, (g, k, k, n) for k free classes: with
+    ``kron_gram`` it gives minus the Newton Hessian (times sigma2 for
+    gaussian experts).  ``sample(rng, mean, sigma2)`` draws one response per
+    row.  One expert has d+1 free coefficients per free class, plus sigma2
+    with ``dispersion``.  Separated responses drive ``separable`` coefficients to
     infinity, so the Newton block caps them.
     """
 
     kind: str
     log_density: Callable
     mean: Callable
+    mean_cov: Callable
     sample: Callable
-    variance: Callable | None = None
     multiclass: bool = False
     dispersion: bool = False
     separable: bool = False
@@ -92,6 +94,24 @@ class ExpertFamily:
         return y
 
 
+def free_class_cov(P: np.ndarray) -> np.ndarray:
+    """diag(P) - P P^T over the free classes (all but the last) of class
+    probabilities ``P`` (b, K, n); shape (b, K-1, K-1, n)."""
+    P = P[:, :-1]
+    return P[:, :, None] * (np.eye(P.shape[1])[:, :, None] - P[:, None])
+
+
+def kron_gram(W: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Weighted Kronecker Grams sum_i W[b, i] V[b, :, :, i] (x) d_i d_i^T,
+    (b, k*d, k*d), for V (b, k, k, n) and design rows D (n, d); rows and
+    columns run class-major, as in a raveled free coefficient block (k, d)."""
+    b, k, _, n = V.shape
+    d = D.shape[1]
+    DD = (D[:, :, None] * D[:, None, :]).reshape(n, d * d)
+    G = ((W[:, None, None, :] * V).reshape(-1, n) @ DD).reshape(b, k, k, d, d)
+    return G.transpose(0, 1, 3, 2, 4).reshape(b, k * d, k * d)
+
+
 # Linear predictors arrive component-major: ``s`` is (g, n), or (g, K, n) for
 # multinomial experts so that reductions over classes run across whole rows.
 # The class axis is axis 1 in every layout (the sampler passes (n, K) rows).
@@ -101,6 +121,7 @@ EXPERT_FAMILIES = {
         log_density=lambda s, y, sigma2: -0.5 * (
             np.log(2 * np.pi * sigma2)[:, None] + (y - s) ** 2 / sigma2[:, None]),
         mean=lambda s: s,
+        mean_cov=lambda mu: np.ones_like(mu)[:, None, None],
         sample=lambda rng, mu, sigma2: mu + rng.standard_normal(len(mu)) * np.sqrt(sigma2),
         dispersion=True),
     "logistic": ExpertFamily(
@@ -108,20 +129,21 @@ EXPERT_FAMILIES = {
         # y*s - log(1 + e^s), stabilized
         log_density=lambda s, y, sigma2: y * s - np.logaddexp(0.0, s),
         mean=lambda s: 1.0 / (1.0 + np.exp(-s)),
+        mean_cov=lambda mu: (mu * (1.0 - mu))[:, None, None],
         sample=lambda rng, mu, sigma2: (rng.random(len(mu)) < mu).astype(int),
-        variance=lambda mu: mu * (1.0 - mu),
         separable=True),
     "poisson": ExpertFamily(
         kind="count",
         log_density=lambda s, y, sigma2: y * s - np.exp(s) - gammaln(y + 1.0),
         mean=np.exp,
-        sample=lambda rng, mu, sigma2: rng.poisson(mu),
-        variance=lambda mu: mu),
+        mean_cov=lambda mu: mu[:, None, None],
+        sample=lambda rng, mu, sigma2: rng.poisson(mu)),
     "multinomial": ExpertFamily(
         kind="categorical",
         log_density=lambda s, y, sigma2: (
             s[:, y - 1, np.arange(y.size)] - logsumexp(s, axis=1)),
         mean=lambda s: softmax(s, axis=1),
+        mean_cov=free_class_cov,
         # inverse-CDF draw of one class (1..K) per row
         sample=lambda rng, probs, sigma2: (
             np.cumsum(probs, axis=1) < rng.random(len(probs))[:, None]).sum(axis=1) + 1,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from moefit.cli import main
+from moefit.inference import param_labels
 from moefit.io import load_model, save_model
 from moefit.model import MoeParams
 
@@ -263,6 +264,20 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "expects 1" in err
 
+    @pytest.mark.parametrize("mode", ["cluster-gate", "mean", "variance", "mean-ci"])
+    def test_header_only_file_writes_header_only(self, tmp_path, line_model, mode):
+        theta, _ = load_model(line_model)
+        labels = param_labels(theta)
+        model = tmp_path / "cov.json"
+        save_model(model, theta, covariance={
+            "order": labels, "matrix": (0.01 * np.eye(len(labels))).tolist()})
+        data = self.covariates_csv(tmp_path, [])
+        out = tmp_path / "p.csv"
+        assert run(["predict", "--model", str(model), "--data", str(data),
+                    "--mode", mode, "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header[0] == "x1" and rows == []
+
     # an empty file, and a row without the covariate column
     @pytest.mark.parametrize("text", ["", "y,x1\n1.0\n"], ids=["empty", "short-row"])
     def test_bad_covariate_file_exits_2(self, tmp_path, line_model, capsys, text):
@@ -272,6 +287,32 @@ class TestPredict:
                     "--mode", "mean", "--out", str(tmp_path / "p.csv")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture
+def short_covariance_model(tmp_path):
+    """A g=2 gaussian model file whose covariance block lacks its last
+    parameter."""
+    theta = MoeParams(family="gaussian", gating=np.array([[0.5, 1.0], [0.0, 0.0]]),
+                      beta=np.array([[1.0, 2.0], [-1.0, 0.5]]), sigma2=np.ones(2))
+    labels = param_labels(theta)[:-1]
+    path = tmp_path / "short.json"
+    save_model(path, theta, covariance={"order": labels,
+                                        "matrix": np.eye(len(labels)).tolist()})
+    return path
+
+
+@pytest.mark.parametrize("command", ["predict", "summarize"])
+def test_mismatched_covariance_exits_2(tmp_path, short_covariance_model, capsys,
+                                       command):
+    argv = ["--model", str(short_covariance_model)]
+    if command == "predict":
+        data = tmp_path / "x.csv"
+        data.write_text("x1\n0.5\n")
+        argv += ["--data", str(data), "--mode", "mean-ci",
+                 "--out", str(tmp_path / "p.csv")]
+    assert run([command] + argv) == 2
+    assert "covariance block does not match" in capsys.readouterr().err
 
 
 class TestSummarize:

@@ -175,7 +175,7 @@ class TestGaussianExpertBlockUpdate:
         data = Dataset(X, y, "real")
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)), sigma2=np.array([1.0]))
-        floor = variance_floor(data, FitConfig())
+        floor = variance_floor(data)
         beta, sigma2, floored = gaussian_expert_block_update(data, theta, floor)
         assert np.allclose(beta[0], [1.0, 2.0], atol=1e-10)
         assert sigma2[0] == floor
@@ -260,7 +260,9 @@ class TestGlmExpertBlockUpdate:
     def test_random_instance_ascent_multinomial(self):
         self.test_random_instance_ascent("multinomial")
 
-    @pytest.mark.parametrize("family", ["logistic", "poisson", "multinomial"])
+    # gaussian experts enter with unit variance: their mean_cov is 1
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family", ["logistic", "poisson", "multinomial", "gaussian"])
     def test_batched_derivatives_match_finite_differences(self, family):
         rng = np.random.default_rng(17)
         n, b = 50, 3
@@ -269,6 +271,9 @@ class TestGlmExpertBlockUpdate:
             y = rng.integers(1, 4, size=n)
             beta = rng.normal(size=(b, 3, 3))
             beta[:, -1] = 0.0
+        elif family == "gaussian":
+            y = rng.normal(size=n)
+            beta = 0.5 * rng.normal(size=(b, 3))
         else:
             y = rng.integers(0, 2 if family == "logistic" else 5, size=n)
             beta = 0.5 * rng.normal(size=(b, 3))
@@ -278,7 +283,7 @@ class TestGlmExpertBlockUpdate:
         log_density = EXPERT_FAMILIES[family].log_density
 
         def weighted_ll(beta):
-            return np.einsum("bn,bn->b", W, log_density(beta @ Dt.T, y, None))
+            return np.einsum("bn,bn->b", W, log_density(beta @ Dt.T, y, np.ones(b)))
 
         free = beta[:, :-1] if family == "multinomial" else beta
         m = free[0].size

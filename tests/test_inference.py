@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from moefit.datagen import gen_moe_sample, uniform_box_sampler
 from moefit.estimation import FitConfig, fit, initialize, multi_start_fit
@@ -9,6 +10,7 @@ from moefit.inference import (
     InferenceError,
     flatten_params,
     mean_ci,
+    mean_ci_rows,
     param_labels,
     sandwich_covariance,
     score_matrix,
@@ -24,7 +26,7 @@ from moefit.model import (
     moe_log_density,
     responsibilities,
 )
-from moefit.tasks import predict_mean
+from moefit.tasks import predict_mean, predict_mean_rows
 
 
 def random_theta(family, rng, g=2, p=1, K=3):
@@ -49,17 +51,39 @@ def random_obs(family, rng, p=1, K=3):
     return int(rng.integers(1, K + 1)), x
 
 
-def fd_score(y, x, theta):
+def central_diff(f, theta, h=1e-6):
+    """Central differences of f over the free parameters of ``theta``, one
+    per trailing column, each with a step of h (1 + |parameter|)."""
     vec = flatten_params(theta)
-    grad = np.empty(vec.size)
+    cols = []
     for j in range(vec.size):
-        h = 1e-6 * (1.0 + abs(vec[j]))
+        step = h * (1.0 + abs(vec[j]))
         up, dn = vec.copy(), vec.copy()
-        up[j] += h
-        dn[j] -= h
-        grad[j] = (moe_log_density(y, x, unflatten_params(theta, up))
-                   - moe_log_density(y, x, unflatten_params(theta, dn))) / (2 * h)
-    return grad
+        up[j] += step
+        dn[j] -= step
+        cols.append((f(unflatten_params(theta, up))
+                     - f(unflatten_params(theta, dn))) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
+def fd_score(y, x, theta):
+    return central_diff(lambda t: moe_log_density(y, x, t), theta)
+
+
+def fd_bread(data, theta):
+    """Central differences of the analytic total score, symmetrized and
+    averaged over rows: the reference for the analytic bread."""
+    bread = central_diff(lambda t: score_matrix(data, t).sum(axis=0), theta)
+    return 0.5 * (bread + bread.T) / data.n
+
+
+def fd_mean_ci(x, theta, cov, level=0.95):
+    """Delta-method interval from a central-difference gradient of
+    predict_mean: the reference for the analytic mean_ci gradient."""
+    grad = central_diff(lambda t: predict_mean(x, t), theta)
+    m = predict_mean(x, theta)
+    half = norm.ppf(0.5 * (1.0 + level)) * np.sqrt(max(grad @ cov @ grad, 0.0))
+    return m - half, m + half
 
 
 FAMILIES = ["gaussian", "logistic", "poisson", "multinomial"]
@@ -201,6 +225,23 @@ class TestSandwichCovariance:
         rel = np.linalg.norm(sandwich - (-binv)) / np.linalg.norm(binv)
         assert rel < 0.15
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("g", [1, 3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bread_matches_finite_differences(self, family, g):
+        rng = np.random.default_rng(20 + FAMILIES.index(family))
+        truth = random_theta(family, rng, g=g)
+        if family == "gaussian":
+            # low noise: a finite-difference bread's truncation error grows
+            # as (h / sigma2)^2, so a step of 1e-5 would miss here
+            truth.sigma2 = truth.sigma2 * 0.005
+        data = gen_moe_sample(truth, uniform_box_sampler([-2.0], [2.0]), 300, seed=1)
+        result = multi_start_fit(data, g, family, ExpertDesign(),
+                                 FitConfig(n_starts=1, max_cycles=200))
+        bread = sandwich_covariance(data, result.theta).bread
+        ref = fd_bread(data, result.theta)
+        assert np.linalg.norm(bread - ref) <= 1e-5 * np.linalg.norm(ref)
+
     def test_labels_align_with_cov(self):
         rng = np.random.default_rng(8)
         truth = random_theta("gaussian", rng)
@@ -252,6 +293,38 @@ class TestMeanCi:
         lo95, hi95 = mean_ci(x, theta, sw.cov, level=0.95)
         lo99, hi99 = mean_ci(x, theta, sw.cov, level=0.99)
         assert lo99 < lo95 < hi95 < hi99
+
+    def fitted_g3(self):
+        truth = MoeParams(family="gaussian",
+                          gating=np.array([[2.0, 3.0], [1.0, -2.0], [0.0, 0.0]]),
+                          beta=np.array([[1.0, 2.0], [-2.0, -1.0], [0.5, 0.0]]),
+                          sigma2=np.array([0.3, 0.2, 0.4]))
+        data = gen_moe_sample(truth, uniform_box_sampler([-2.0], [2.0]), 600, seed=5)
+        result = multi_start_fit(data, 3, "gaussian", ExpertDesign(),
+                                 FitConfig(n_starts=2, max_cycles=300))
+        return result.theta, sandwich_covariance(data, result.theta).cov
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_match_finite_differences(self):
+        theta, cov = self.fitted_g3()
+        X = np.linspace(-2.0, 2.0, 17)[:, None]
+        m, lo, hi = mean_ci_rows(X, theta, cov, level=0.9)
+        assert np.array_equal(m, predict_mean_rows(X, theta))
+        for i, x in enumerate(X):
+            ref_lo, ref_hi = fd_mean_ci(x, theta, cov, level=0.9)
+            half = 0.5 * (ref_hi - ref_lo)
+            assert abs(lo[i] - ref_lo) <= 1e-6 * half
+            assert abs(hi[i] - ref_hi) <= 1e-6 * half
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_row_view(self):
+        theta, cov = self.fitted_g3()
+        X = np.linspace(-2.0, 2.0, 9)[:, None]
+        _, lo, hi = mean_ci_rows(X, theta, cov)
+        for i, x in enumerate(X):
+            # to rounding: BLAS may sum one row and a batch in other orders
+            assert mean_ci(x, theta, cov) == pytest.approx((lo[i], hi[i]),
+                                                           rel=1e-14, abs=1e-14)
 
     def test_non_gaussian_rejected(self):
         theta = MoeParams(family="logistic", gating=np.zeros((1, 2)),

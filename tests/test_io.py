@@ -14,6 +14,7 @@ from moefit.io import (
     save_model,
     write_dataset_csv,
 )
+from moefit.inference import param_labels
 from moefit.model import Dataset, ExpertDesign, MoeParams
 
 
@@ -90,11 +91,31 @@ class TestModelFile:
 
     def test_covariance_block_round_trips(self, tmp_path):
         theta = sample_theta()
-        cov = {"order": ["gate[1].a0"], "matrix": [[0.25]]}
+        labels = param_labels(theta)
+        cov = {"order": labels, "matrix": (0.25 * np.eye(len(labels))).tolist()}
         path = tmp_path / "m.json"
         save_model(path, theta, covariance=cov)
         _, doc = load_model(path)
         assert doc["covariance"] == cov
+
+    # one parameter short in the order, in the matrix, or in both; a
+    # reordered manifest; a ragged matrix
+    @pytest.mark.parametrize("cut", ["order", "matrix", "both", "swap", "ragged"])
+    def test_mismatched_covariance_block_rejected(self, cut):
+        theta = sample_theta()
+        labels = param_labels(theta)
+        matrix = np.eye(len(labels)).tolist()
+        if cut in ("order", "both"):
+            labels = labels[:-1]
+        if cut in ("matrix", "both"):
+            matrix = [row[:-1] for row in matrix[:-1]]
+        if cut == "swap":
+            labels[0], labels[1] = labels[1], labels[0]
+        if cut == "ragged":
+            matrix[0] = matrix[0][:-1]
+        doc = model_to_dict(theta, covariance={"order": labels, "matrix": matrix})
+        with pytest.raises(FormatError, match="covariance|malformed"):
+            model_from_dict(doc)
 
 
 class TestDatasetCsv:
