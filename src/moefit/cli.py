@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen, io, tasks
-from .estimation import EstimationError, FitConfig, multi_start_fit
+from .estimation import (THREAD_MIN_ROWS, EstimationError, FitConfig,
+                         multi_start_fit)
 from .inference import InferenceError, mean_ci_rows, sandwich_covariance
 from .model import (FAMILIES, ExpertDesign, ModelError, expert_family,
                     gate_log_probs, responsibilities)
@@ -55,7 +56,10 @@ def _add_fit_flags(p):
     p.add_argument("--max-cycles", type=int, default=1000)
     p.add_argument("--rel-tol", type=float, default=1e-8)
     p.add_argument("--irls-max-inner", type=int, default=25)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="threads for the starts (>= 1); used only on data of "
+                        f"at least {THREAD_MIN_ROWS} rows, below which one "
+                        "thread is faster")
 
 
 def _add_data_flags(p):

@@ -42,6 +42,15 @@ GLM_COEF_CAP = 30.0
 # is always the plain curvature-bound step)
 GATING_ROUNDS = 3
 GATING_STEP_CAP = 64.0
+# multi_start_fit runs its starts on threads only on data of at least this
+# many rows.  A fit makes many short numpy calls, each handing the
+# interpreter lock back and forth, so on small data two threads run slower
+# than one.  Serial time over two-thread time (medians, 2 starts x 30
+# cycles, single-threaded BLAS, 2-core machine) for gaussian poly:2 and
+# multinomial experts at g = 2 and 4: 0.59-0.64 at 512 rows, 0.67-0.72 at
+# 1,024, 0.75-1.03 at 2,048, 0.98-1.34 at 4,096 (gaussian g = 2 read 0.98,
+# 1.02 and 1.15 in three runs) and 1.10-1.77 at 8,192.
+THREAD_MIN_ROWS = 4096
 
 
 class EstimationError(RuntimeError):
@@ -69,8 +78,8 @@ class FitConfig:
     irls_max_inner: int = 25
 
     def __post_init__(self):
-        if self.max_cycles < 1 or self.n_starts < 1:
-            raise ValueError("max_cycles and n_starts must be >= 1")
+        if self.max_cycles < 1 or self.n_starts < 1 or self.irls_max_inner < 1:
+            raise ValueError("max_cycles, n_starts and irls_max_inner must be >= 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
 
@@ -89,16 +98,51 @@ class FitResult:
         return float(self.q_trace[-1])
 
 
+def _rank_deficient(what: str) -> RankDeficientError:
+    return RankDeficientError(f"singular {what}: constant or collinear covariate columns")
+
+
 def _psd_solver(A: np.ndarray, what: str):
     """Cholesky-factor A once; returns a function that solves A x = b."""
     try:
         c, lower = cho_factor(A)
     except np.linalg.LinAlgError:
-        raise RankDeficientError(
-            f"singular {what}: constant or collinear covariate columns"
-        ) from None
+        raise _rank_deficient(what) from None
     potrs, = get_lapack_funcs(("potrs",), (c,))
     return lambda b: potrs(c, b, lower=lower)[0]
+
+
+def _cholesky_solve(A: np.ndarray, b: np.ndarray):
+    """Solve A[i] x[i] = b[i] for a batch of symmetric positive-definite
+    matrices by one batched Cholesky factorization; returns (x, ok), where
+    ``ok`` is False, and x NaN, for the matrices that are not positive
+    definite."""
+    ok = np.ones(len(A), dtype=bool)
+    try:
+        C = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        C = np.empty_like(A)
+        for i, a in enumerate(A):
+            try:
+                C[i] = np.linalg.cholesky(a)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    x = np.full_like(b, np.nan)
+    C = C[ok]
+    x[ok] = np.linalg.solve(C.swapaxes(1, 2), np.linalg.solve(C, b[ok, :, None]))[..., 0]
+    return x, ok
+
+
+def _weighted_least_squares(Dt: np.ndarray, y: np.ndarray, W: np.ndarray,
+                            ridge: float = 0.0):
+    """Weighted least squares of y on the design Dt, one fit per weight row
+    of W (b, n), all at once.  Returns (beta (b, m), the weighted mean squared
+    residuals (b,), ok (b,)); ``ok`` is False, and the fit NaN, where the
+    weighted Gram matrix (plus ``ridge`` times the identity) is singular."""
+    G = kron_gram(W, np.ones((1, 1, 1, 1)), Dt) + ridge * np.eye(Dt.shape[1])
+    beta, ok = _cholesky_solve(G, (W * y) @ Dt)
+    resid = y - beta @ Dt.T
+    return beta, np.einsum("bn,bn->b", W, resid * resid) / W.sum(axis=1), ok
 
 
 def gating_gram(data: Dataset) -> np.ndarray:
@@ -107,11 +151,74 @@ def gating_gram(data: Dataset) -> np.ndarray:
     return Xt.T @ Xt
 
 
-def _gating_direction(Xt: np.ndarray, solve_H, tau_z: np.ndarray,
-                      gate_z: np.ndarray) -> np.ndarray:
+def _gating_direction(Xt: np.ndarray, solve_H, resid: np.ndarray) -> np.ndarray:
     """Curvature-bound ascent direction of one gating block,
-    4 H^-1 X-tilde^T (tau_z - pi_z), with ``solve_H`` applying H^-1."""
-    return 4.0 * solve_H(Xt.T @ (tau_z - gate_z))
+    4 H^-1 X-tilde^T (tau_z - pi_z), with ``resid`` = tau_z - pi_z and
+    ``solve_H`` applying H^-1."""
+    return 4.0 * solve_H(Xt.T @ resid)
+
+
+def _softplus(u: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """log(1 + e^u) in place, as max(u, 0) + log1p(e^-|u|); ``tmp`` is
+    scratch of u's shape.  It never overflows, and numpy's exp and log1p are
+    vectorized where np.logaddexp loops over scalars."""
+    np.abs(u, out=tmp)
+    np.negative(tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    np.log1p(tmp, out=tmp)
+    np.maximum(u, 0.0, out=u)
+    u += tmp
+    return u
+
+
+class GatingLine:
+    """Q_n along the step of one gating row, from log-odds.
+
+    The joint scores J = S + L and the gating scores S are held stacked as
+    JS = [J, S], shape (2, g, n).  With rest_j and rest_s the log-sum-exp of
+    the other rows of J and S, rho_j = rest_j - J[z] and rho_s = rest_s - S[z]
+    are the log-odds of "not z" under the joint and under the gate.  Moving
+    row z by x changes Q_n by sum softplus(rho_j - x) - sum softplus(rho_s - x),
+    minus the same sum at x = 0, and tau_z and pi_z are exp(-softplus(rho)).
+    The buffers are allocated once and reused by every block of a fit.
+    """
+
+    def __init__(self, g: int, n: int):
+        self.others = [np.delete(np.arange(g), z) for z in range(g - 1)]
+        self.rho = np.empty((2, n))  # rho_j, rho_s
+        self._x = np.empty(n)
+        self._u = np.empty((2, n))
+        self._tmp = np.empty((2, n))
+        self._base = 0.0
+
+    def anchor(self, JS: np.ndarray, z: int) -> np.ndarray:
+        """Place the line at row z of the stacked scores JS; returns
+        tau_z - pi_z."""
+        if JS.shape[1] == 2:
+            # the one other row is its own log-sum-exp, exactly
+            np.subtract(JS[:, 1 - z], JS[:, z], out=self.rho)
+        else:
+            np.subtract(logsumexp(JS[:, self.others[z]], axis=1), JS[:, z],
+                        out=self.rho)
+        self._u[...] = self.rho
+        sp = _softplus(self._u, self._tmp)
+        self._base = self._net(sp)
+        np.negative(sp, out=sp)
+        np.exp(sp, out=sp)
+        return sp[0] - sp[1]
+
+    @staticmethod
+    def _net(sp: np.ndarray) -> float:
+        """sum softplus(rho_j - x) - sum softplus(rho_s - x)"""
+        s = sp.sum(axis=1)
+        return float(s[0] - s[1])
+
+    def gain(self, step: float, drow: np.ndarray) -> float:
+        """Change in Q_n when row z of the gating scores moves by
+        step * drow."""
+        np.multiply(drow, step, out=self._x)
+        np.subtract(self.rho, self._x, out=self._u)
+        return self._net(_softplus(self._u, self._tmp)) - self._base
 
 
 def gating_block_update(data: Dataset, theta: MoeParams, z: int,
@@ -126,7 +233,7 @@ def gating_block_update(data: Dataset, theta: MoeParams, z: int,
         tau = responsibilities(data, theta)
     gates = np.exp(gate_log_probs(data.X, theta.gating))
     return theta.gating[z] + _gating_direction(add_intercept(data.X), solve_H,
-                                               tau[:, z], gates[:, z])
+                                               tau[:, z] - gates[:, z])
 
 
 def gating_surrogate_value(data: Dataset, theta: MoeParams, z: int,
@@ -182,16 +289,10 @@ def gaussian_expert_block_update(data: Dataset, theta: MoeParams,
         tau = responsibilities(data, theta)
     _check_starvation(tau, data.n)
     Dt = add_intercept(theta.design.matrix(data.X))
-    y = data.y
-    beta = np.empty_like(theta.beta)
-    sigma2 = np.empty(theta.g)
-    for z in range(theta.g):
-        w = tau[:, z]
-        G = (Dt * w[:, None]).T @ Dt
-        b = Dt.T @ (w * y)
-        beta[z] = _psd_solver(G, f"weighted Gram matrix of component {z + 1}")(b)
-        resid = y - Dt @ beta[z]
-        sigma2[z] = w @ resid ** 2 / w.sum()
+    beta, sigma2, ok = _weighted_least_squares(Dt, data.y, np.ascontiguousarray(tau.T))
+    if not ok.all():
+        z = int(np.flatnonzero(~ok)[0])
+        raise _rank_deficient(f"weighted Gram matrix of component {z + 1}")
     floored = sigma2 < floor
     return beta, np.where(floored, floor, sigma2), floored
 
@@ -288,7 +389,10 @@ def _weighted_glm_fit(glm: _GlmData, W: np.ndarray, beta0: np.ndarray,
             cand = beta[rows]
             free = glm.fam.free_coefs(cand)
             free += step * delta[pending]
-            ll_new = _glm_ll(glm, W[rows], cand)
+            # a trial step may overflow a poisson mean; np.isfinite below
+            # rejects it
+            with np.errstate(over="ignore"):
+                ll_new = _glm_ll(glm, W[rows], cand)
             ll_old = ll[rows]
             ok = np.isfinite(ll_new) & (
                 ll_new >= ll_old - 1e-12 * (1.0 + np.abs(ll_old)))
@@ -330,14 +434,14 @@ def glm_expert_block_update(data: Dataset, theta: MoeParams,
     return beta, bool(capped.any())
 
 
-def _joint(S: np.ndarray, L: np.ndarray):
-    """Joint scores, responsibilities and objective value from gating scores
-    and cached expert log densities, all laid out (g, n); returns
-    (J, tau, q)."""
-    J = S + L
-    lse_joint = logsumexp(J)
-    q = float(np.sum(lse_joint - logsumexp(S)))
-    return J, np.exp(J - lse_joint), q
+def _joint(JS: np.ndarray, L: np.ndarray):
+    """Refresh the joint scores JS[0] = S + L from the gating scores JS[1]
+    and the cached expert log densities L, both (g, n); returns
+    (responsibilities (g, n), objective value)."""
+    np.add(JS[1], L, out=JS[0])
+    lse = logsumexp(JS, axis=1)
+    q = float(np.sum(lse[0] - lse[1]))
+    return np.exp(JS[0] - lse[0]), q
 
 
 def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
@@ -352,7 +456,9 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     gating Gram matrix is factored once.  Each gating block step follows the
     curvature-bound direction, and its length is doubled as long as the
     objective keeps improving, which cuts cycle counts sharply while
-    preserving monotone ascent.
+    preserving monotone ascent.  A ``GatingLine`` prices each trial step
+    from the log-odds of the block's row: two softplus passes over the rows,
+    without re-evaluating the log-sum-exp of the other rows.
     """
     config = config or FitConfig()
     check_compatible(data, init)
@@ -365,70 +471,49 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     floor = variance_floor(data) if gaussian else 0.0
     Xt = add_intercept(data.X)
     L = np.ascontiguousarray(expert_log_density_matrix(data, theta).T)
-    S = np.ascontiguousarray((Xt @ theta.gating.T).T)
-    J, tau, q = _joint(S, L)
-    others = [np.delete(np.arange(g), z) for z in range(g - 1)]
+    JS = np.empty((2, g, data.n))
+    J, S = JS  # views: the joint and the gating scores
+    S[...] = (Xt @ theta.gating.T).T
+    tau, q = _joint(JS, L)
+    line = GatingLine(g, data.n)
     step_factor = np.ones(max(g - 1, 1))
-    trial = np.empty(data.n)
-    den = np.empty(data.n)
     trace = [q]
     converged = False
     degenerate = False
     cycle = 0
     for cycle in range(1, config.max_cycles + 1):
         try:
+            # the guard's tolerance scale; comparisons use exact step gains
             q_cur = q
             for _ in range(GATING_ROUNDS if g > 1 else 0):
                 for z in range(g - 1):
-                    # only row z of the gating scores moves during this
-                    # block update, so log-sum-exp over the other rows is
-                    # fixed and each trial step costs two logaddexp passes
-                    rest_s = logsumexp(S[others[z]])
-                    rest_j = logsumexp(J[others[z]])
-                    row0 = S[z].copy()
-                    lse_s = np.logaddexp(rest_s, row0)
-                    lse_j = np.logaddexp(rest_j, J[z])
-                    q_cur = float(np.sum(lse_j - lse_s))
-                    tau_z = np.exp(J[z] - lse_j)
-                    gate_z = np.exp(row0 - lse_s)
-                    direction = _gating_direction(Xt, solve_H, tau_z, gate_z)
+                    direction = _gating_direction(Xt, solve_H, line.anchor(JS, z))
                     drow = Xt @ direction
-                    Lz = L[z]
-
-                    def q_at(f):
-                        np.add(row0, f * drow, out=trial)
-                        np.logaddexp(rest_s, trial, out=den)
-                        np.add(trial, Lz, out=trial)
-                        np.logaddexp(rest_j, trial, out=trial)
-                        np.subtract(trial, den, out=trial)
-                        return float(trial.sum())
-
                     # start from the step length this block last accepted,
                     # shrinking toward the plain curvature-bound step (factor
                     # 1) whenever the longer step no longer improves
                     factor = step_factor[z]
-                    q_new = q_at(factor)
-                    while factor > 1.0 and not (
-                            np.isfinite(q_new) and q_new > q_cur):
+                    gain = line.gain(factor, drow)
+                    while factor > 1.0 and not (np.isfinite(gain) and gain > 0.0):
                         factor /= 2.0
-                        q_new = q_at(factor)
-                    if not np.isfinite(q_new) or q_new < q_cur - 1e-10 * (1.0 + abs(q_cur)):
+                        gain = line.gain(factor, drow)
+                    if not np.isfinite(gain) or gain < -1e-10 * (1.0 + abs(q_cur)):
                         # guard: never lose ground on the objective
                         step_factor[z] = 1.0
                         continue
                     while factor < GATING_STEP_CAP:
-                        q_try = q_at(2.0 * factor)
-                        if not np.isfinite(q_try) or q_try <= q_new:
+                        gain_try = line.gain(2.0 * factor, drow)
+                        if not np.isfinite(gain_try) or gain_try <= gain:
                             break
                         factor *= 2.0
-                        q_new = q_try
+                        gain = gain_try
                     step_factor[z] = factor
-                    S[z] = row0 + factor * drow
-                    J[z] = S[z] + Lz
+                    S[z] += factor * drow
+                    np.add(S[z], L[z], out=J[z])
                     theta.gating[z] = theta.gating[z] + factor * direction
-                    q_cur = q_new
+                    q_cur += gain
             if g > 1:
-                _, tau, q_cur = _joint(S, L)
+                tau, q_cur = _joint(JS, L)
             old_beta, old_L = theta.beta, L
             if gaussian:
                 theta.beta, theta.sigma2, floored = gaussian_expert_block_update(
@@ -437,11 +522,11 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
             else:
                 theta.beta, _ = glm_expert_block_update(data, theta, config, tau=tau.T)
             L = np.ascontiguousarray(expert_log_density_matrix(data, theta).T)
-            J, tau, q_new = _joint(S, L)
+            tau, q_new = _joint(JS, L)
             # ascent guard: a capped/aborted GLM inner solve must not lose ground
             if not gaussian and q_new < q_cur - 1e-10 * (1.0 + abs(q_cur)):
                 theta.beta, L = old_beta, old_L
-                J, tau, q_new = _joint(S, L)
+                tau, q_new = _joint(JS, L)
         except EstimationError as err:
             raise type(err)(f"cycle {cycle}: {err}") from err
         trace.append(q_new)
@@ -518,18 +603,15 @@ def initialize(data: Dataset, g: int, family: str, design: ExpertDesign,
         glm = _GlmData.build(family, Dt, data.y, K)
         beta, _ = _weighted_glm_fit(glm, W, beta, config.irls_max_inner)
     else:
-        floor = variance_floor(data)
-        sigma2 = np.ones(g)
-        for z, w in enumerate(W):
-            G = (Dt * w[:, None]).T @ Dt
-            b = Dt.T @ (w * data.y)
-            try:
-                beta[z] = _psd_solver(G, "initialization Gram matrix")(b)
-            except RankDeficientError:
-                beta[z] = _psd_solver(G + 1e-8 * np.eye(d + 1), "ridged init Gram")(b)
-            members = labels == z
-            resid = data.y[members] - Dt[members] @ beta[z]
-            sigma2[z] = max(float(np.mean(resid ** 2)), floor)
+        beta, sigma2, ok = _weighted_least_squares(Dt, data.y, W)
+        if not ok.all():
+            # a singular group's Gram matrix gets a small ridge
+            bad = ~ok
+            beta[bad], sigma2[bad], ok = _weighted_least_squares(
+                Dt, data.y, W[bad], ridge=1e-8)
+            if not ok.all():
+                raise _rank_deficient("ridged init Gram")
+        sigma2 = np.maximum(sigma2, variance_floor(data))
     gating = np.zeros((g, data.p + 1))
     return MoeParams(family=family, gating=gating, beta=beta, design=design,
                      sigma2=sigma2, K=K)
@@ -541,10 +623,14 @@ def multi_start_fit(data: Dataset, g: int, family: str,
                     n_threads: int = 1) -> FitResult:
     """Best-of-n_starts fit; seeds are config.seed, config.seed+1, ...
 
-    The winner has the largest final log-quasi-likelihood, ties broken toward
-    the lowest start index; the merge is deterministic regardless of how many
-    threads ran the starts.
+    With ``n_threads`` > 1 the starts run on that many threads, but only on
+    data of at least ``THREAD_MIN_ROWS`` rows; on smaller data threads are
+    slower than one and the starts run serially.  The winner has the largest
+    final log-quasi-likelihood, ties broken toward the lowest start index; the
+    merge is deterministic regardless of how many threads ran the starts.
     """
+    if n_threads < 1:
+        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     config = config or FitConfig()
     design = design or ExpertDesign()
 
@@ -557,7 +643,7 @@ def multi_start_fit(data: Dataset, g: int, family: str,
         except EstimationError as err:
             return f"start {k} (seed {seed_k}): {err}"
 
-    if n_threads > 1:
+    if n_threads > 1 and data.n >= THREAD_MIN_ROWS:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             outcomes = list(pool.map(run, range(config.n_starts)))

@@ -103,9 +103,10 @@ def free_class_cov(P: np.ndarray) -> np.ndarray:
 
 def kron_gram(W: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Weighted Kronecker Grams sum_i W[b, i] V[b, :, :, i] (x) d_i d_i^T,
-    (b, k*d, k*d), for V (b, k, k, n) and design rows D (n, d); rows and
-    columns run class-major, as in a raveled free coefficient block (k, d)."""
-    b, k, _, n = V.shape
+    (b, k*d, k*d), for W (b, n), V (b, k, k, n) or broadcastable to it, and
+    design rows D (n, d); rows and columns run class-major, as in a raveled
+    free coefficient block (k, d)."""
+    (b, n), k = W.shape, V.shape[1]
     d = D.shape[1]
     DD = (D[:, :, None] * D[:, None, :]).reshape(n, d * d)
     G = ((W[:, None, None, :] * V).reshape(-1, n) @ DD).reshape(b, k, k, d, d)

@@ -136,6 +136,20 @@ class TestFit:
                     "--out", str(tmp_path / "f.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    @pytest.mark.parametrize("flags", [["--threads", "0"], ["--threads", "-3"],
+                                       ["--irls-max-inner", "0"]])
+    def test_bad_fit_setting_exits_2(self, tmp_path, line_model, capsys,
+                                     command, flags):
+        data = self.simulate_line(tmp_path, line_model, n=50)
+        out = tmp_path / "f.json"
+        size = ["--g", "1"] if command == "fit" else ["--G", "1"]
+        code = run([command, "--data", str(data), "--family", "gaussian",
+                    *size, "--out", str(out), *flags])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_design_exits_2(self, tmp_path, line_model):
         data = self.simulate_line(tmp_path, line_model)
         code = run(["fit", "--data", str(data), "--family", "gaussian",

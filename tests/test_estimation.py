@@ -5,8 +5,10 @@ import pytest
 
 from moefit.datagen import gen_moe_sample, gen_three_class, uniform_box_sampler
 from moefit.estimation import (
+    THREAD_MIN_ROWS,
     EmptyComponentError,
     FitConfig,
+    GatingLine,
     InfeasibleInitError,
     RankDeficientError,
     fit,
@@ -24,13 +26,17 @@ from moefit.estimation import (
     _GlmData,
     _glm_grad_hess,
     _newton_directions,
+    _softplus,
+    _weighted_least_squares,
 )
 from moefit.model import (
     EXPERT_FAMILIES,
     Dataset,
     ExpertDesign,
     MoeParams,
+    add_intercept,
     expert_log_density_matrix,
+    gate_log_probs,
     log_quasi_likelihood,
     responsibilities,
 )
@@ -126,6 +132,50 @@ class TestGatingBlockUpdate:
             gating_block_update(data, theta, 1)  # only z=0 is free for g=2
 
 
+class TestGatingLine:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_softplus_matches_logaddexp(self):
+        u = np.concatenate([np.linspace(-1000.0, 1000.0, 2001),
+                            [-1e300, -40.5, 40.5, 1e300]])
+        assert np.allclose(_softplus(u.copy(), np.empty_like(u)),
+                           np.logaddexp(0.0, u), rtol=1e-15, atol=1e-300)
+
+    # saturated instances: gating rows scaled so that most log-odds pass 40,
+    # and steps long enough that some rows move by more than 800
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("g", [2, 4])
+    @pytest.mark.parametrize("scale, step", [(1.0, 1.0), (60.0, 400.0)])
+    def test_gain_matches_objective_differences(self, g, scale, step):
+        rng = np.random.default_rng(g)
+        max_rho = max_x = 0.0
+        for seed in range(8):
+            data, theta = random_gaussian_instance(seed, n=40, g=g, p=2)
+            theta.gating *= scale
+            Xt = add_intercept(data.X)
+            S = theta.gating @ Xt.T
+            JS = np.stack([S + expert_log_density_matrix(data, theta).T, S])
+            line = GatingLine(g, data.n)
+            q = log_quasi_likelihood(data, theta)
+            tau = responsibilities(data, theta)
+            gates = np.exp(gate_log_probs(data.X, theta.gating))
+            for z in range(g - 1):
+                resid = line.anchor(JS, z)
+                assert np.allclose(resid, tau[:, z] - gates[:, z], rtol=0, atol=1e-12)
+                max_rho = max(max_rho, np.abs(line.rho).max())
+                for _ in range(3):
+                    delta = step * rng.normal(size=3)
+                    moved = theta.copy()
+                    moved.gating[z] += delta
+                    exact = log_quasi_likelihood(data, moved) - q
+                    f = rng.uniform(0.5, 2.0)
+                    gain = line.gain(f, Xt @ (delta / f))
+                    max_x = max(max_x, np.abs(Xt @ delta).max())
+                    assert gain == pytest.approx(exact, rel=1e-9,
+                                                 abs=1e-10 * (1 + abs(q)))
+        if scale > 1.0:
+            assert max_rho > 40.0 and max_x > 800.0
+
+
 class TestMinorizer:
     def test_anchor_equality_and_domination(self):
         # (B1): surrogate equals the objective at the anchor.
@@ -193,6 +243,39 @@ class TestGaussianExpertBlockUpdate:
         b2, _, _ = gaussian_expert_block_update(data, theta, 1e-12,
                                                 tau=np.full((30, 1), 0.37))
         assert np.allclose(b1, b2, atol=1e-10)
+
+    def test_batched_matches_component_loop(self):
+        rng = np.random.default_rng(3)
+        n = 60
+        Dt = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        y = rng.normal(size=n)
+        W = rng.uniform(0.0, 1.0, size=(4, n))
+        W[3] = rng.integers(0, 2, size=n)  # hard weights, as at initialization
+        beta, s2, ok = _weighted_least_squares(Dt, y, W)
+        assert ok.all()
+        for w, b, v in zip(W, beta, s2):
+            ref = np.linalg.lstsq(Dt * np.sqrt(w)[:, None], y * np.sqrt(w),
+                                  rcond=None)[0]
+            assert np.allclose(b, ref, rtol=1e-10, atol=1e-12)
+            assert v == pytest.approx(w @ (y - Dt @ ref) ** 2 / w.sum(), rel=1e-10)
+
+    def test_singular_component_named(self):
+        # component 2 weighs only rows that share one covariate value
+        X = np.concatenate([np.linspace(-1.0, 1.0, 8), np.full(4, 0.5)])[:, None]
+        data = Dataset(X, np.arange(12.0), "real")
+        tau = np.zeros((12, 2))
+        tau[:8, 0] = 1.0
+        tau[8:, 1] = 1.0
+        theta = MoeParams(family="gaussian", gating=np.zeros((2, 2)),
+                          beta=np.zeros((2, 2)), sigma2=np.ones(2))
+        with pytest.raises(RankDeficientError, match="component 2"):
+            gaussian_expert_block_update(data, theta, 1e-12, tau=tau)
+        Dt = add_intercept(X)
+        beta, _, ok = _weighted_least_squares(Dt, data.y, tau.T)
+        assert ok.tolist() == [True, False]
+        assert np.all(np.isnan(beta[1])) and np.all(np.isfinite(beta[0]))
+        _, _, ok = _weighted_least_squares(Dt, data.y, tau.T, ridge=1e-8)
+        assert ok.all()
 
     def test_starved_component_raises(self):
         data, theta = random_gaussian_instance(0, n=10)
@@ -308,6 +391,18 @@ class TestGlmExpertBlockUpdate:
         delta = _newton_directions(A, np.ones((2, 2)))
         assert np.array_equal(delta[0], [1.0, 1.0])
         assert np.all(np.isnan(delta[1]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_trial_steps_stay_silent(self):
+        # three huge counts make some step-halving trials overflow exp
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1.0, 1.0, size=(300, 1))
+        y = rng.poisson(np.exp(1.0 + X[:, 0]))
+        y[:3] = 1_000_000
+        data = Dataset(X, y, "count")
+        result = multi_start_fit(data, 2, "poisson", ExpertDesign(),
+                                 FitConfig(n_starts=1, max_cycles=200))
+        assert np.all(np.isfinite(result.q_trace))
 
     def test_separation_capped(self):
         # perfectly separated binary outcome with a narrow margin drives the
@@ -459,17 +554,51 @@ class TestMultiStart:
                               FitConfig(n_starts=10, seed=0, max_cycles=80))
         assert ten.q_hat >= one.q_hat
 
-    def test_threaded_merge_matches_serial(self, family="gaussian"):
-        data = two_component_sample(family, 200, seed=12)
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The max_workers of every thread pool multi_start_fit opens."""
+        import concurrent.futures
+
+        opened = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                opened.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        return opened
+
+    def test_threaded_merge_matches_serial(self, pools, family="gaussian"):
+        data = two_component_sample(family, THREAD_MIN_ROWS, seed=12)
         config = FitConfig(n_starts=4, seed=0, max_cycles=50)
         serial = multi_start_fit(data, 2, family, ExpertDesign(), config)
+        assert pools == []
         threaded = multi_start_fit(data, 2, family, ExpertDesign(), config,
                                    n_threads=3)
+        assert pools == [3]
         assert serial.seed_used == threaded.seed_used
         assert np.array_equal(serial.theta.beta, threaded.theta.beta)
+        assert np.array_equal(serial.q_trace, threaded.q_trace)
 
-    def test_threaded_merge_matches_serial_multinomial(self):
-        self.test_threaded_merge_matches_serial("multinomial")
+    def test_threaded_merge_matches_serial_multinomial(self, pools):
+        self.test_threaded_merge_matches_serial(pools, "multinomial")
+
+    def test_no_threads_below_row_threshold(self, pools):
+        data = two_component_sample("gaussian", THREAD_MIN_ROWS - 1, seed=12)
+        config = FitConfig(n_starts=2, seed=0, max_cycles=20)
+        threaded = multi_start_fit(data, 2, "gaussian", ExpertDesign(), config,
+                                   n_threads=2)
+        assert pools == []
+        serial = multi_start_fit(data, 2, "gaussian", ExpertDesign(), config)
+        assert np.array_equal(serial.q_trace, threaded.q_trace)
+
+    @pytest.mark.parametrize("n_threads", [0, -3])
+    def test_bad_thread_count_rejected(self, n_threads):
+        data = two_component_sample("gaussian", 50, seed=12)
+        with pytest.raises(ValueError, match="n_threads"):
+            multi_start_fit(data, 2, "gaussian", ExpertDesign(),
+                            FitConfig(n_starts=1), n_threads=n_threads)
 
 
 class TestFitConfigValidation:
@@ -482,3 +611,5 @@ class TestFitConfigValidation:
             FitConfig(max_cycles=0)
         with pytest.raises(ValueError):
             FitConfig(n_starts=0)
+        with pytest.raises(ValueError):
+            FitConfig(irls_max_inner=0)

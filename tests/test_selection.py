@@ -126,6 +126,15 @@ class TestSelectG:
         with pytest.raises(ValueError):
             select_g(data, 0, "gaussian")
 
+    @pytest.mark.parametrize("n_threads", [0, -3])
+    def test_bad_thread_count_rejected(self, n_threads):
+        data = gen_moe_sample(
+            MoeParams(family="gaussian", gating=np.zeros((1, 2)),
+                      beta=np.array([[0.0, 1.0]]), sigma2=np.array([1.0])),
+            uniform_box_sampler([-2.0], [2.0]), 50, seed=4)
+        with pytest.raises(ValueError, match="n_threads"):
+            select_g(data, 2, "gaussian", n_threads=n_threads)
+
     def test_degenerate_fits_not_selectable(self):
         report = SelectionReport(
             rows=[GFit(g=1, q_hat=-10.0, dim=3, bic=30.0, converged=True,
