@@ -5,7 +5,6 @@ from .model import (
     ExpertDesign,
     ModelError,
     MoeParams,
-    gate_probs,
     log_quasi_likelihood,
     moe_log_density,
     responsibilities,
@@ -19,15 +18,10 @@ from .estimation import (
     multi_start_fit,
 )
 from .selection import SelectionReport, bic, param_count, select_g
-from .inference import SandwichCovariance, mean_ci, sandwich_covariance, score_vector
-from .tasks import (
-    Prediction,
-    classify_map,
-    cluster_gate,
-    cluster_posterior,
-    predict_mean,
-    predict_variance,
-)
+from .inference import (SandwichCovariance, mean_ci, mean_ci_rows,
+                        sandwich_covariance, score_vector)
+from .tasks import (class_posteriors, gate_labels, predict_mean,
+                    predict_mean_rows, predict_variance_rows)
 from .datagen import SignalSpec, gen_moe_sample, gen_switch_signal, gen_three_class
 
 __version__ = "0.1.0"

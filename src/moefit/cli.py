@@ -16,7 +16,8 @@ import numpy as np
 from . import datagen, io, tasks
 from .estimation import (THREAD_MIN_ROWS, EstimationError, FitConfig,
                          multi_start_fit)
-from .inference import InferenceError, mean_ci_rows, sandwich_covariance
+from .inference import (InferenceError, mean_ci_rows, sandwich_covariance,
+                        standard_errors)
 from .model import (FAMILIES, ExpertDesign, ModelError, expert_family,
                     gate_log_probs, responsibilities)
 from .selection import SelectionError, bic, param_count, select_g
@@ -120,11 +121,14 @@ def cmd_simulate(args) -> int:
     else:  # switch-signal
         if args.signal_spec:
             spec_doc = json.loads(Path(args.signal_spec).read_text())
-            spec = datagen.SignalSpec(
-                n=args.n, seed=args.seed,
-                breakpoints=tuple(spec_doc["breakpoints"]),
-                coefs=tuple(tuple(c) for c in spec_doc["coefs"]),
-                noise_sd=tuple(spec_doc["noise_sd"]))
+            try:
+                spec = datagen.SignalSpec(
+                    n=args.n, seed=args.seed,
+                    breakpoints=tuple(spec_doc["breakpoints"]),
+                    coefs=tuple(tuple(c) for c in spec_doc["coefs"]),
+                    noise_sd=tuple(spec_doc["noise_sd"]))
+            except (KeyError, TypeError) as err:
+                raise UsageError(f"malformed --signal-spec file: {err!r}") from None
         else:
             spec = datagen.SignalSpec(n=args.n, seed=args.seed)
         data = datagen.gen_switch_signal(spec)
@@ -217,8 +221,7 @@ def cmd_summarize(args) -> int:
               f"n={f['n']}  cycles={f['cycles']}  converged={f['converged']}  "
               f"degenerate={f['degenerate']}  seed={f['seed']}")
     if "covariance" in doc:
-        cov = np.asarray(doc["covariance"]["matrix"])
-        ses = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        ses = standard_errors(np.asarray(doc["covariance"]["matrix"]))
         for label, se in zip(doc["covariance"]["order"], ses):
             print(f"  se[{label}] = {se:.6g}")
     return 0

@@ -6,7 +6,7 @@ byte-identical across platforms for a given seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,16 +91,12 @@ class SignalSpec:
         bp = np.asarray(self.breakpoints, dtype=float)
         if bp.size and (np.any(np.diff(bp) <= 0) or bp.min() <= 0 or bp.max() >= 1):
             raise ValueError("breakpoints must be strictly increasing within (0, 1)")
-        if len(self.coefs) != bp.size + 1 or len(self.noise_sd) != bp.size + 1:
+        if np.shape(self.coefs) != (bp.size + 1, 3) or len(self.noise_sd) != bp.size + 1:
             raise ValueError("need one coefficient triple and noise sd per regime")
         if any(s < 0 for s in self.noise_sd):
             raise ValueError("noise sd must be non-negative")
         if self.n < 2:
             raise ValueError("n must be >= 2")
-
-    @property
-    def n_regimes(self) -> int:
-        return len(self.coefs)
 
 
 def signal_regime_of(t: np.ndarray, spec: SignalSpec) -> np.ndarray:

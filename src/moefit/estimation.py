@@ -10,11 +10,10 @@ least-squares solutions; GLM expert blocks use ascent-guarded Newton steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, get_lapack_funcs
 
 from .model import (
     Dataset,
@@ -22,6 +21,7 @@ from .model import (
     ExpertFamily,
     MoeParams,
     add_intercept,
+    canonical_order,
     check_compatible,
     expert_family,
     expert_log_density_matrix,
@@ -102,21 +102,12 @@ def _rank_deficient(what: str) -> RankDeficientError:
     return RankDeficientError(f"singular {what}: constant or collinear covariate columns")
 
 
-def _psd_solver(A: np.ndarray, what: str):
-    """Cholesky-factor A once; returns a function that solves A x = b."""
-    try:
-        c, lower = cho_factor(A)
-    except np.linalg.LinAlgError:
-        raise _rank_deficient(what) from None
-    potrs, = get_lapack_funcs(("potrs",), (c,))
-    return lambda b: potrs(c, b, lower=lower)[0]
-
-
 def _cholesky_solve(A: np.ndarray, b: np.ndarray):
     """Solve A[i] x[i] = b[i] for a batch of symmetric positive-definite
-    matrices by one batched Cholesky factorization; returns (x, ok), where
+    matrices A (k, m, m) by one batched Cholesky factorization, with vector
+    (k, m) or matrix (k, m, r) right-hand sides b; returns (x, ok), where
     ``ok`` is False, and x NaN, for the matrices that are not positive
-    definite."""
+    definite.  This is the one linear solve of the fit."""
     ok = np.ones(len(A), dtype=bool)
     try:
         C = np.linalg.cholesky(A)
@@ -129,7 +120,9 @@ def _cholesky_solve(A: np.ndarray, b: np.ndarray):
                 ok[i] = False
     x = np.full_like(b, np.nan)
     C = C[ok]
-    x[ok] = np.linalg.solve(C.swapaxes(1, 2), np.linalg.solve(C, b[ok, :, None]))[..., 0]
+    rhs = b[ok] if b.ndim == 3 else b[ok, :, None]
+    sol = np.linalg.solve(C.swapaxes(1, 2), np.linalg.solve(C, rhs))
+    x[ok] = sol if b.ndim == 3 else sol[..., 0]
     return x, ok
 
 
@@ -151,11 +144,14 @@ def gating_gram(data: Dataset) -> np.ndarray:
     return Xt.T @ Xt
 
 
-def _gating_direction(Xt: np.ndarray, solve_H, resid: np.ndarray) -> np.ndarray:
-    """Curvature-bound ascent direction of one gating block,
-    4 H^-1 X-tilde^T (tau_z - pi_z), with ``resid`` = tau_z - pi_z and
-    ``solve_H`` applying H^-1."""
-    return 4.0 * solve_H(Xt.T @ resid)
+def _gating_step_matrix(data: Dataset) -> np.ndarray:
+    """M = 4 H^-1; the curvature-bound step of gating block z is
+    M X-tilde^T (tau_z - pi_z)."""
+    H = gating_gram(data)
+    M, ok = _cholesky_solve(H[None], 4.0 * np.eye(len(H))[None])
+    if not ok[0]:
+        raise _rank_deficient("gating design Gram matrix")
+    return M[0]
 
 
 def _softplus(u: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -221,19 +217,13 @@ class GatingLine:
         return self._net(_softplus(self._u, self._tmp)) - self._base
 
 
-def gating_block_update(data: Dataset, theta: MoeParams, z: int,
-                        H: np.ndarray | None = None,
-                        tau: np.ndarray | None = None) -> np.ndarray:
+def gating_block_update(data: Dataset, theta: MoeParams, z: int) -> np.ndarray:
     """Curvature-bound update of gating block z (0-based, z < g-1)."""
     if not 0 <= z < theta.g - 1:
         raise ValueError("gating block index must lie in [0, g-1)")
-    solve_H = _psd_solver(gating_gram(data) if H is None else H,
-                          "gating design Gram matrix")
-    if tau is None:
-        tau = responsibilities(data, theta)
-    gates = np.exp(gate_log_probs(data.X, theta.gating))
-    return theta.gating[z] + _gating_direction(add_intercept(data.X), solve_H,
-                                               tau[:, z] - gates[:, z])
+    resid = responsibilities(data, theta)[:, z] - np.exp(
+        gate_log_probs(data.X, theta.gating))[:, z]
+    return theta.gating[z] + _gating_step_matrix(data) @ (add_intercept(data.X).T @ resid)
 
 
 def gating_surrogate_value(data: Dataset, theta: MoeParams, z: int,
@@ -337,20 +327,6 @@ def _glm_grad_hess(glm: _GlmData, W: np.ndarray, beta: np.ndarray):
     return grad.reshape(b, -1), -kron_gram(W, glm.fam.mean_cov(mu), glm.Dt)
 
 
-def _newton_directions(A: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Solve A[i] x = grad[i] for the whole batch; singular rows give NaN."""
-    try:
-        return np.linalg.solve(A, grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full_like(grad, np.nan)
-        for i in range(len(A)):
-            try:
-                out[i] = np.linalg.solve(A[i], grad[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 def _weighted_glm_fit(glm: _GlmData, W: np.ndarray, beta0: np.ndarray,
                       max_inner: int):
     """Newton steps with step-halving on a batch of weighted expert
@@ -372,7 +348,9 @@ def _weighted_glm_fit(glm: _GlmData, W: np.ndarray, beta0: np.ndarray,
         moving = np.abs(grad).max(axis=1) >= 1e-9 * (1.0 + np.abs(ll[idx]))
         active[idx[~moving]] = False
         idx, grad, hess = idx[moving], grad[moving], hess[moving]
-        delta = _newton_directions(-hess + 1e-10 * np.eye(hess.shape[1]), grad)
+        # a system that is not positive definite gives a NaN step, which
+        # stops only its own expert
+        delta, _ = _cholesky_solve(-hess + 1e-10 * np.eye(hess.shape[1]), grad)
         finite = np.all(np.isfinite(delta), axis=1)
         active[idx[~finite]] = False
         idx, delta = idx[finite], delta[finite]
@@ -453,7 +431,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     objective evaluation in the sweep reuses it.  Gating scores, expert log
     densities and their sum are held component-major, (g, n), so every
     log-sum-exp over components reduces across whole rows; the constant
-    gating Gram matrix is factored once.  Each gating block step follows the
+    gating Gram matrix is inverted once.  Each gating block step follows the
     curvature-bound direction, and its length is doubled as long as the
     objective keeps improving, which cuts cycle counts sharply while
     preserving monotone ascent.  A ``GatingLine`` prices each trial step
@@ -464,9 +442,8 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     check_compatible(data, init)
     theta = init.copy()
     g = theta.g
-    # the gating Gram matrix is constant, so it is factored once per fit
-    solve_H = (_psd_solver(gating_gram(data), "gating design Gram matrix")
-               if g > 1 else None)
+    # the gating Gram matrix is constant, so it is inverted once per fit
+    M = _gating_step_matrix(data) if g > 1 else None
     gaussian = theta.family == "gaussian"
     floor = variance_floor(data) if gaussian else 0.0
     Xt = add_intercept(data.X)
@@ -487,7 +464,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
             q_cur = q
             for _ in range(GATING_ROUNDS if g > 1 else 0):
                 for z in range(g - 1):
-                    direction = _gating_direction(Xt, solve_H, line.anchor(JS, z))
+                    direction = M @ (Xt.T @ line.anchor(JS, z))
                     drow = Xt @ direction
                     # start from the step length this block last accepted,
                     # shrinking toward the plain curvature-bound step (factor
@@ -625,9 +602,11 @@ def multi_start_fit(data: Dataset, g: int, family: str,
 
     With ``n_threads`` > 1 the starts run on that many threads, but only on
     data of at least ``THREAD_MIN_ROWS`` rows; on smaller data threads are
-    slower than one and the starts run serially.  The winner has the largest
-    final log-quasi-likelihood, ties broken toward the lowest start index; the
-    merge is deterministic regardless of how many threads ran the starts.
+    slower than one and the starts run serially.  Each start's components are
+    put in ``canonical_order``, so starts that reach one optimum under swapped
+    labels return the same parameters.  The winner has the largest final
+    log-quasi-likelihood, ties broken toward the lowest start index; the merge
+    is deterministic regardless of how many threads ran the starts.
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
@@ -639,9 +618,11 @@ def multi_start_fit(data: Dataset, g: int, family: str,
         seed_k = config.seed + k
         try:
             init = initialize(data, g, family, design, seed_k, config)
-            return fit(data, init, config, seed_used=seed_k)
+            result = fit(data, init, config, seed_used=seed_k)
         except EstimationError as err:
             return f"start {k} (seed {seed_k}): {err}"
+        result.theta = canonical_order(result.theta)
+        return result
 
     if n_threads > 1 and data.n >= THREAD_MIN_ROWS:
         from concurrent.futures import ThreadPoolExecutor

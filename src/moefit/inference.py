@@ -174,8 +174,9 @@ def sandwich_covariance(data: Dataset, theta: MoeParams) -> SandwichCovariance:
                               labels=param_labels(theta))
 
 
-def standard_errors(sw: SandwichCovariance) -> np.ndarray:
-    return np.sqrt(np.maximum(np.diag(sw.cov), 0.0))
+def standard_errors(cov: np.ndarray) -> np.ndarray:
+    """Root diagonal of covariance ``cov``; rounding below zero reads 0."""
+    return np.sqrt(np.maximum(np.diag(cov), 0.0))
 
 
 def mean_ci_rows(X: np.ndarray, theta: MoeParams, cov: np.ndarray,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .inference import param_labels
-from .model import Dataset, ExpertDesign, ModelError, MoeParams
+from .model import Dataset, ExpertDesign, MoeParams
 
 SCHEMA_VERSION = 1
 
@@ -119,6 +119,8 @@ def model_to_dict(theta: MoeParams, fit_meta: dict | None = None,
 
 
 def model_from_dict(doc: dict) -> MoeParams:
+    if not isinstance(doc, dict):
+        raise FormatError("malformed model document: not a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise FormatError(
             f"unsupported model schema_version {doc.get('schema_version')!r}, "

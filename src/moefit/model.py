@@ -350,23 +350,12 @@ def gate_log_probs(X: np.ndarray, gating: np.ndarray) -> np.ndarray:
     return log_softmax(Xt @ gating.T, axis=-1)
 
 
-def gate_probs(x: np.ndarray, gating: np.ndarray) -> np.ndarray:
-    """Gating probabilities at a single covariate point, shape (g,)."""
-    return np.exp(gate_log_probs(np.atleast_2d(x), gating))[0]
-
-
 def expert_log_density_matrix(data: Dataset, theta: MoeParams) -> np.ndarray:
     """Per-row, per-component expert log densities, shape (n, g)."""
     check_compatible(data, theta)
     Dt = add_intercept(theta.design.matrix(data.X))
     ll = expert_family(theta.family).log_density(theta.beta @ Dt.T, data.y, theta.sigma2)
     return np.ascontiguousarray(ll.T)
-
-
-def expert_log_density(y, x: np.ndarray, theta: MoeParams, z: int) -> float:
-    """Log density of a single expert z (0-based) at one observation."""
-    data = Dataset(np.atleast_2d(x), np.atleast_1d(y), theta.response_kind(), K=theta.K)
-    return float(expert_log_density_matrix(data, theta)[0, z])
 
 
 def _joint_log_density(data: Dataset, theta: MoeParams) -> np.ndarray:
@@ -411,3 +400,9 @@ def permute_components(theta: MoeParams, perm) -> MoeParams:
     if theta.sigma2 is not None:
         out.sigma2 = theta.sigma2[perm]
     return out
+
+
+def canonical_order(theta: MoeParams) -> MoeParams:
+    """``theta`` with its components sorted lexicographically by their expert
+    coefficients, so that label-swapped copies of one model compare equal."""
+    return permute_components(theta, np.lexsort(theta.beta.reshape(theta.g, -1).T[::-1]))

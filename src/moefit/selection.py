@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class GFit:
 class SelectionReport:
     rows: list[GFit]
     g_hat: int
-    grid: list[int] = field(default_factory=list)
 
     def best(self) -> GFit:
         return next(r for r in self.rows if r.g == self.g_hat)
@@ -108,4 +107,4 @@ def select_g(data: Dataset, G: int, family: str,
         raise SelectionError(f"no eligible fit on grid 1..{G} ({detail})")
     best_bic = min(r.bic for r in eligible)
     g_hat = min(r.g for r in eligible if r.bic <= best_bic + 1e-12 * (1.0 + abs(best_bic)))
-    return SelectionReport(rows=rows, g_hat=g_hat, grid=list(range(1, G + 1)))
+    return SelectionReport(rows=rows, g_hat=g_hat)

@@ -84,6 +84,21 @@ class TestSimulate:
     def test_unknown_subcommand_exits_2(self):
         assert run(["simulate", "bogus", "--n", "5", "--out", "x.csv"]) == 2
 
+    @pytest.mark.parametrize("spec", [
+        {"breakpoints": [0.5], "coefs": [[1, 0, 0], [2, 0, 0]]},
+        {"breakpoints": [0.5], "coefs": [1.0, [2, 0, 0]], "noise_sd": [1, 1]},
+        {"breakpoints": [0.5], "coefs": [[1, 0], [2, 0]], "noise_sd": [1, 1]},
+        [[0.5], [[1, 0, 0], [2, 0, 0]], [1, 1]],
+    ], ids=["missing-key", "scalar-coefs", "short-coefs", "json-array"])
+    def test_malformed_signal_spec_exits_2(self, tmp_path, capsys, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "sig.csv"
+        assert run(["simulate", "switch-signal", "--n", "50",
+                    "--signal-spec", str(path), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def simulate_line(self, tmp_path, line_model, n=200):
@@ -327,6 +342,21 @@ def test_mismatched_covariance_exits_2(tmp_path, short_covariance_model, capsys,
                  "--out", str(tmp_path / "p.csv")]
     assert run([command] + argv) == 2
     assert "covariance block does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["summarize", "predict", "simulate"])
+def test_json_array_model_exits_2(tmp_path, capsys, command):
+    model = tmp_path / "model.json"
+    model.write_text("[1, 2]\n")
+    data = tmp_path / "x.csv"
+    data.write_text("x1\n0.5\n")
+    argv = {"summarize": ["summarize"],
+            "predict": ["predict", "--data", str(data), "--mode", "mean"],
+            "simulate": ["simulate", "moe", "--n", "5"]}[command]
+    if command != "summarize":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert run(argv + ["--model", str(model)]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
 
 
 class TestSummarize:

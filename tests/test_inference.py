@@ -250,7 +250,7 @@ class TestSandwichCovariance:
                                  FitConfig(n_starts=2, max_cycles=100))
         sw = sandwich_covariance(data, result.theta)
         assert len(sw.labels) == sw.cov.shape[0] == sw.cov.shape[1]
-        assert standard_errors(sw).shape == (sw.cov.shape[0],)
+        assert standard_errors(sw.cov).shape == (sw.cov.shape[0],)
 
 
 class TestMeanCi:

@@ -11,14 +11,25 @@ from moefit.model import (
     ExpertDesign,
     ModelError,
     MoeParams,
-    expert_log_density,
-    gate_probs,
+    expert_log_density_matrix,
+    gate_log_probs,
     log_quasi_likelihood,
     moe_log_density,
     moe_log_density_rows,
     permute_components,
     responsibilities,
 )
+
+
+def gate_row(x, gating):
+    """Gate probabilities at one covariate point, by the batched gate_log_probs."""
+    return np.exp(gate_log_probs(np.atleast_2d(x), gating))[0]
+
+
+def expert_row(y, x, theta):
+    """Expert 1's log density at one observation, by the batched matrix."""
+    data = Dataset(np.atleast_2d(x), np.atleast_1d(y), theta.response_kind(), K=theta.K)
+    return expert_log_density_matrix(data, theta)[0, 0]
 
 
 def gaussian_pair(means=(0.0, 2.0), gate_intercept=0.0):
@@ -35,16 +46,16 @@ class TestGateProbs:
     def test_zero_coefficients_are_uniform(self):
         gating = np.zeros((2, 2))
         for x in ([0.0], [3.7], [-12.0]):
-            assert np.allclose(gate_probs(np.array(x), gating), [0.5, 0.5])
+            assert np.allclose(gate_row(np.array(x), gating), [0.5, 0.5])
 
     def test_log3_intercept_gives_three_quarters(self):
         gating = np.array([[np.log(3.0), 0.0], [0.0, 0.0]])
-        got = gate_probs(np.array([1.23]), gating)
+        got = gate_row(np.array([1.23]), gating)
         assert np.allclose(got, [0.75, 0.25], atol=1e-12)
 
     def test_three_components_uniform(self):
         gating = np.zeros((3, 3))
-        got = gate_probs(np.array([0.4, -0.9]), gating)
+        got = gate_row(np.array([0.4, -0.9]), gating)
         assert np.allclose(got, [1 / 3, 1 / 3, 1 / 3])
 
     def test_simplex_and_positivity_random(self):
@@ -53,56 +64,55 @@ class TestGateProbs:
             g, p = rng.integers(1, 5), rng.integers(0, 4)
             gating = rng.normal(size=(g, p + 1)) * 3
             gating[-1] = 0.0
-            probs = gate_probs(rng.normal(size=p), gating)
+            probs = gate_row(rng.normal(size=p), gating)
             assert np.all(probs > 0)
             assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_no_overflow_at_huge_scores(self):
         gating = np.array([[1e4, 0.0], [0.0, 0.0]])
-        probs = gate_probs(np.array([0.0]), gating)
+        probs = gate_row(np.array([0.0]), gating)
         assert np.all(np.isfinite(probs))
         assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ModelError):
-            gate_probs(np.array([1.0, 2.0]), np.zeros((2, 2)))
+            gate_row(np.array([1.0, 2.0]), np.zeros((2, 2)))
 
     def test_nonfinite_input_raises(self):
         with pytest.raises(ModelError):
-            gate_probs(np.array([np.nan]), np.zeros((2, 2)))
+            gate_row(np.array([np.nan]), np.zeros((2, 2)))
 
 
 class TestExpertLogDensity:
     def test_standard_normal_at_mode(self):
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)), sigma2=np.array([1.0]))
-        got = expert_log_density(0.0, np.array([0.0]), theta, 0)
+        got = expert_row(0.0, np.array([0.0]), theta)
         assert got == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
 
     def test_symmetric_logit(self):
         theta = MoeParams(family="logistic", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)))
-        got = expert_log_density(1, np.array([0.0]), theta, 0)
+        got = expert_row(1, np.array([0.0]), theta)
         assert got == pytest.approx(np.log(0.5), abs=1e-12)
 
     def test_poisson_rate_one_at_two(self):
         theta = MoeParams(family="poisson", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)))
-        got = expert_log_density(2, np.array([0.0]), theta, 0)
+        got = expert_row(2, np.array([0.0]), theta)
         assert got == pytest.approx(-1.0 - np.log(2.0), abs=1e-12)
 
     def test_multinomial_uniform_classes(self):
         theta = MoeParams(family="multinomial", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 3, 2)), K=3)
         for y in (1, 2, 3):
-            got = expert_log_density(y, np.array([0.0]), theta, 0)
+            got = expert_row(y, np.array([0.0]), theta)
             assert got == pytest.approx(np.log(1 / 3), abs=1e-12)
 
     def test_kind_mismatch_raises(self):
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)), sigma2=np.array([1.0]))
         data = Dataset(np.array([[0.0]]), np.array([1]), "binary")
-        from moefit.model import expert_log_density_matrix
         with pytest.raises(ModelError):
             expert_log_density_matrix(data, theta)
 
@@ -118,7 +128,7 @@ class TestExpertLogDensity:
         x = np.array([2.0])
         mu = 1.5 - 0.7 * 2.0
         sd = 0.7
-        val, _ = quad(lambda y: np.exp(expert_log_density(y, x, theta, 0)),
+        val, _ = quad(lambda y: np.exp(expert_row(y, x, theta)),
                       mu - 10 * sd, mu + 10 * sd)
         assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -126,20 +136,20 @@ class TestExpertLogDensity:
         logit = MoeParams(family="logistic", gating=np.zeros((1, 2)),
                           beta=np.array([[0.3, -1.2]]))
         x = np.array([0.8])
-        total = sum(np.exp(expert_log_density(y, x, logit, 0)) for y in (0, 1))
+        total = sum(np.exp(expert_row(y, x, logit)) for y in (0, 1))
         assert total == pytest.approx(1.0, abs=1e-14)
 
         multi = MoeParams(family="multinomial", gating=np.zeros((1, 2)),
                           beta=np.array([[[0.5, 1.0], [-0.4, 0.2], [0.0, 0.0]]]),
                           K=3)
-        total = sum(np.exp(expert_log_density(y, x, multi, 0)) for y in (1, 2, 3))
+        total = sum(np.exp(expert_row(y, x, multi)) for y in (1, 2, 3))
         assert total == pytest.approx(1.0, abs=1e-14)
 
         pois = MoeParams(family="poisson", gating=np.zeros((1, 2)),
                          beta=np.array([[1.0, 0.5]]))
         lam = np.exp(1.0 + 0.5 * 0.8)
         top = int(lam + 40 * np.sqrt(lam))
-        total = sum(np.exp(expert_log_density(y, x, pois, 0))
+        total = sum(np.exp(expert_row(y, x, pois))
                     for y in range(top + 1))
         assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -150,7 +160,7 @@ class TestMoeLogDensity:
                           beta=np.array([[0.4, 1.1]]), sigma2=np.array([2.0]))
         x, y = np.array([0.6]), 1.9
         assert moe_log_density(y, x, theta) == pytest.approx(
-            expert_log_density(y, x, theta, 0), abs=1e-14)
+            expert_row(y, x, theta), abs=1e-14)
 
     def test_identical_experts_collapse(self):
         theta = MoeParams(family="gaussian",
@@ -159,7 +169,7 @@ class TestMoeLogDensity:
                           sigma2=np.array([2.0, 2.0]))
         x, y = np.array([0.6]), 1.9
         assert moe_log_density(y, x, theta) == pytest.approx(
-            expert_log_density(y, x, theta, 0), abs=1e-12)
+            expert_row(y, x, theta), abs=1e-12)
 
     def test_symmetric_two_mean_hand_value(self):
         theta = gaussian_pair(means=(0.0, 2.0))

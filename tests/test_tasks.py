@@ -5,16 +5,19 @@ import pytest
 
 from moefit.datagen import gen_moe_sample, gen_three_class, uniform_box_sampler
 from moefit.estimation import FitConfig, multi_start_fit
-from moefit.model import ExpertDesign, ModelError, MoeParams
+from moefit.model import (
+    Dataset,
+    ExpertDesign,
+    ModelError,
+    MoeParams,
+    gate_log_probs,
+    responsibilities,
+)
 from moefit.tasks import (
     class_posteriors,
-    classify_map,
-    cluster_gate,
-    cluster_posterior,
     gate_labels,
     predict_mean,
     predict_mean_rows,
-    predict_variance,
     predict_variance_rows,
 )
 
@@ -32,18 +35,18 @@ class TestClassifyMap:
     def test_uniform_posterior_tie_breaks_to_first_class(self):
         theta = MoeParams(family="multinomial", gating=np.zeros((1, 3)),
                           beta=np.zeros((1, 3, 3)), K=3)
-        pred = classify_map(np.array([0.3, -0.7]), theta)
-        assert pred.label == 1
-        assert np.allclose(pred.posterior, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+        post = class_posteriors(np.array([[0.3, -0.7]]), theta)[0]
+        assert np.argmax(post) + 1 == 1
+        assert np.allclose(post, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_two_class_positive_score_picks_class_one(self):
         beta = np.zeros((1, 2, 3))
         beta[0, 0] = [0.5, 1.0, 0.0]  # class-1 score positive at x=(1, 0)
         theta = MoeParams(family="multinomial", gating=np.zeros((1, 3)),
                           beta=beta, K=2)
-        pred = classify_map(np.array([1.0, 0.0]), theta)
-        assert pred.label == 1
-        assert pred.posterior[0] > 0.5
+        post = class_posteriors(np.array([[1.0, 0.0]]), theta)[0]
+        assert np.argmax(post) + 1 == 1
+        assert post[0] > 0.5
 
     def test_score_shift_invariance(self):
         rng = np.random.default_rng(11)
@@ -55,12 +58,11 @@ class TestClassifyMap:
         shifted = MoeParams(family="multinomial", gating=theta.gating.copy(),
                             beta=beta + 0.0, K=3)
         shifted.beta[:, :, 0] += 5.0  # add the same constant to every class score
-        for _ in range(20):
-            x = rng.normal(size=2)
-            a = classify_map(x, theta)
-            b = classify_map(x, shifted)
-            assert a.label == b.label
-            assert np.allclose(a.posterior, b.posterior, atol=1e-10)
+        X = rng.normal(size=(20, 2))
+        a = class_posteriors(X, theta)
+        b = class_posteriors(X, shifted)
+        assert np.array_equal(np.argmax(a, axis=1), np.argmax(b, axis=1))
+        assert np.allclose(a, b, atol=1e-10)
 
     def test_posterior_is_simplex_point(self):
         rng = np.random.default_rng(12)
@@ -75,7 +77,7 @@ class TestClassifyMap:
     def test_non_multinomial_rejected(self):
         theta = two_gauss()
         with pytest.raises(ModelError):
-            classify_map(np.array([0.0]), theta)
+            class_posteriors(np.array([[0.0]]), theta)
 
     def test_ball_center_classified_as_inner_class(self):
         # end-to-end: fit the three-class model and classify the disk center
@@ -83,24 +85,24 @@ class TestClassifyMap:
         config = FitConfig(n_starts=3, seed=0, rel_tol=1e-4, max_cycles=60,
                            irls_max_inner=1)
         result = multi_start_fit(data, 4, "multinomial", ExpertDesign(), config)
-        pred = classify_map(np.array([0.0, 0.0]), result.theta)
-        assert pred.label == 2
+        post = class_posteriors(np.array([[0.0, 0.0]]), result.theta)[0]
+        assert np.argmax(post) + 1 == 2
 
 
 class TestClusterPosterior:
     def test_g1_trivial(self):
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
                           beta=np.array([[1.0, 2.0]]), sigma2=np.array([1.0]))
-        pred = cluster_posterior(np.array([0.5]), 3.0, theta)
-        assert pred.label == 1
-        assert np.allclose(pred.posterior, [1.0])
+        tau = responsibilities(Dataset([[0.5]], [3.0], "real"), theta)[0]
+        assert np.argmax(tau) + 1 == 1
+        assert np.allclose(tau, [1.0])
 
     def test_hand_density_ratio(self):
         # equal gates, unit-variance experts with means 0 and 2, y = 0
         theta = two_gauss()
-        pred = cluster_posterior(np.array([0.0]), 0.0, theta)
-        assert pred.label == 1
-        assert pred.posterior == pytest.approx([0.8807971, 0.1192029], abs=1e-6)
+        tau = responsibilities(Dataset([[0.0]], [0.0], "real"), theta)[0]
+        assert np.argmax(tau) + 1 == 1
+        assert tau == pytest.approx([0.8807971, 0.1192029], abs=1e-6)
 
     def test_identical_experts_reduce_to_gate_rule(self):
         theta = MoeParams(
@@ -109,27 +111,26 @@ class TestClusterPosterior:
             beta=np.array([[1.0, 0.5], [1.0, 0.5]]),
             sigma2=np.array([1.3, 1.3]),
         )
-        for x in ([-2.0], [0.0], [3.0]):
-            x = np.array(x)
-            a = cluster_posterior(x, 0.7, theta)
-            b = cluster_gate(x, theta)
-            assert a.label == b.label
-            assert np.allclose(a.posterior, b.posterior, atol=1e-12)
+        X = np.array([[-2.0], [0.0], [3.0]])
+        tau = responsibilities(Dataset(X, np.full(3, 0.7), "real"), theta)
+        gates = np.exp(gate_log_probs(X, theta.gating))
+        assert np.array_equal(np.argmax(tau, axis=1) + 1, gate_labels(X, theta))
+        assert np.allclose(tau, gates, atol=1e-12)
 
 
 class TestClusterGate:
     def test_zero_gating_tie_breaks_to_first(self):
         theta = two_gauss()
-        pred = cluster_gate(np.array([7.0]), theta)
-        assert pred.label == 1
-        assert np.allclose(pred.posterior, [0.5, 0.5])
+        X = np.array([[7.0]])
+        assert gate_labels(X, theta).tolist() == [1]
+        assert np.allclose(np.exp(gate_log_probs(X, theta.gating))[0], [0.5, 0.5])
 
     def test_log3_intercept_always_component_one(self):
         theta = two_gauss(gate0=np.log(3.0))
-        for x in np.linspace(-5, 5, 11):
-            pred = cluster_gate(np.array([x]), theta)
-            assert pred.label == 1
-            assert pred.posterior[0] == pytest.approx(0.75, abs=1e-12)
+        X = np.linspace(-5, 5, 11)[:, None]
+        assert np.all(gate_labels(X, theta) == 1)
+        assert np.allclose(np.exp(gate_log_probs(X, theta.gating))[:, 0], 0.75,
+                           rtol=0, atol=1e-12)
 
     def test_gate_labels_matches_pointwise(self):
         rng = np.random.default_rng(13)
@@ -141,7 +142,7 @@ class TestClusterGate:
         )
         X = rng.normal(size=(40, 1))
         batch = gate_labels(X, theta)
-        single = [cluster_gate(x, theta).label for x in X]
+        single = [int(np.argmax(gate_log_probs(x[None], theta.gating))) + 1 for x in X]
         assert np.array_equal(batch, single)
 
 
@@ -183,13 +184,13 @@ class TestPredictVariance:
     def test_g1_is_sigma2(self):
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
                           beta=np.array([[1.0, 2.0]]), sigma2=np.array([1.7]))
-        assert predict_variance(np.array([0.3]), theta) == pytest.approx(1.7,
-                                                                         abs=1e-12)
+        assert predict_variance_rows(np.array([[0.3]]), theta)[0] == pytest.approx(
+            1.7, abs=1e-12)
 
     def test_equal_gates_symmetric_means(self):
         # means ±a with common variance s gives a² + s
         theta = two_gauss(means=(2.5, -2.5), sigma2=(0.8, 0.8))
-        assert predict_variance(np.array([0.0]), theta) == pytest.approx(
+        assert predict_variance_rows(np.array([[0.0]]), theta)[0] == pytest.approx(
             2.5 ** 2 + 0.8, abs=1e-10)
 
     def test_nonnegative_on_grid(self):
@@ -217,4 +218,4 @@ class TestPredictVariance:
         # MC standard error of the sample variance via the fourth moment
         dev = data.y - data.y.mean()
         se = np.sqrt((np.mean(dev ** 4) - mc_var ** 2) / data.y.size)
-        assert abs(predict_variance(np.array([x0]), theta) - mc_var) <= 3 * se
+        assert abs(predict_variance_rows(np.array([[x0]]), theta)[0] - mc_var) <= 3 * se
