@@ -41,22 +41,27 @@ def _parse_design(text: str) -> ExpertDesign:
     raise UsageError(f"--design must be 'raw' or 'poly:<degree>', got {text!r}")
 
 
+# the fit-setting flags and the FitConfig fields they set
+_FIT_FLAGS = {"--starts": "n_starts", "--seed": "seed", "--max-cycles": "max_cycles",
+              "--rel-tol": "rel_tol", "--irls-max-inner": "irls_max_inner"}
+
+
 def _fit_config(args) -> FitConfig:
-    return FitConfig(
-        max_cycles=args.max_cycles,
-        rel_tol=args.rel_tol,
-        n_starts=args.starts,
-        seed=args.seed,
-        irls_max_inner=args.irls_max_inner,
-    )
+    return FitConfig(**{field: getattr(args, field) for field in _FIT_FLAGS.values()})
 
 
 def _add_fit_flags(p):
-    p.add_argument("--starts", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-cycles", type=int, default=1000)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--irls-max-inner", type=int, default=25)
+    """The data, model and fit flags shared by ``fit`` and ``select``; the
+    fit settings default to FitConfig's."""
+    _add_data_flags(p)
+    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--K", type=int, default=None)
+    p.add_argument("--design", default="raw")
+    p.add_argument("--out", required=True)
+    p.add_argument("--with-covariance", action="store_true")
+    for flag, field in _FIT_FLAGS.items():
+        default = getattr(FitConfig, field)
+        p.add_argument(flag, dest=field, type=type(default), default=default)
     p.add_argument("--threads", type=int, default=1,
                    help="threads for the starts (>= 1); used only on data of "
                         f"at least {THREAD_MIN_ROWS} rows, below which one "
@@ -209,6 +214,13 @@ def cmd_predict(args) -> int:
     return 0
 
 
+# the fit summary that _save_fit writes: each key and its JSON types (a
+# JSON true is a bool, not an int)
+_FIT_BLOCK = {"logQL": (int, float), "dim": (int,), "bic": (int, float),
+              "n": (int,), "cycles": (int,), "seed": (int,),
+              "converged": (bool,), "degenerate": (bool,)}
+
+
 def cmd_summarize(args) -> int:
     theta, doc = io.load_model(args.model)
     print(f"family={theta.family}  g={theta.g}  p={theta.p}"
@@ -217,6 +229,11 @@ def cmd_summarize(args) -> int:
           + (f" (degree {theta.design.degree})" if theta.design.kind == "poly" else ""))
     if "fit" in doc:
         f = doc["fit"]
+        bad = [key for key, types in _FIT_BLOCK.items()
+               if not isinstance(f, dict) or type(f.get(key)) not in types]
+        if bad:
+            raise io.FormatError(
+                f"{args.model}: fit block has missing or mistyped keys {bad}")
         print(f"logQL={f['logQL']:.6f}  dim={f['dim']}  bic={f['bic']:.6f}  "
               f"n={f['n']}  cycles={f['cycles']}  converged={f['converged']}  "
               f"degenerate={f['degenerate']}  seed={f['seed']}")
@@ -244,25 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a model with a fixed g")
-    _add_data_flags(p)
-    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--design", default="raw")
-    p.add_argument("--out", required=True)
-    p.add_argument("--with-covariance", action="store_true")
     _add_fit_flags(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("select", help="select g by BIC over 1..G")
-    _add_data_flags(p)
-    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--G", type=int, required=True)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--design", default="raw")
-    p.add_argument("--out", required=True)
     p.add_argument("--table", default=None, help="per-g BIC table CSV path")
-    p.add_argument("--with-covariance", action="store_true")
     _add_fit_flags(p)
     p.set_defaults(func=cmd_select)
 

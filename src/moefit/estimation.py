@@ -36,10 +36,8 @@ STARVATION_FACTOR = 1e-12
 # gaussian variances are floored at this fraction of the response variance
 VARIANCE_FLOOR_FACTOR = 1e-10
 GLM_COEF_CAP = 30.0
-# hybrid gating acceleration: every outer cycle sweeps the gating blocks
-# GATING_ROUNDS times, and each curvature-bound step is lengthened by doubling,
-# up to GATING_STEP_CAP times, while it still improves the objective (factor 1
-# is always the plain curvature-bound step)
+# every outer cycle sweeps the gating blocks GATING_ROUNDS times, and
+# _step_length lengthens each curvature-bound step up to GATING_STEP_CAP times
 GATING_ROUNDS = 3
 GATING_STEP_CAP = 64.0
 # multi_start_fit runs its starts on threads only on data of at least this
@@ -80,8 +78,8 @@ class FitConfig:
     def __post_init__(self):
         if self.max_cycles < 1 or self.n_starts < 1 or self.irls_max_inner < 1:
             raise ValueError("max_cycles, n_starts and irls_max_inner must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0 < self.rel_tol < np.inf:
+            raise ValueError("rel_tol must be positive and finite")
 
 
 @dataclass
@@ -154,67 +152,61 @@ def _gating_step_matrix(data: Dataset) -> np.ndarray:
     return M[0]
 
 
-def _softplus(u: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """log(1 + e^u) in place, as max(u, 0) + log1p(e^-|u|); ``tmp`` is
-    scratch of u's shape.  It never overflows, and numpy's exp and log1p are
-    vectorized where np.logaddexp loops over scalars."""
-    np.abs(u, out=tmp)
-    np.negative(tmp, out=tmp)
-    np.exp(tmp, out=tmp)
-    np.log1p(tmp, out=tmp)
-    np.maximum(u, 0.0, out=u)
-    u += tmp
-    return u
+def _softplus(u: np.ndarray) -> np.ndarray:
+    """log(1 + e^u) as max(u, 0) + log1p(e^-|u|).  It never overflows, and
+    numpy's exp and log1p are vectorized where np.logaddexp loops over
+    scalars."""
+    return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
 
 
-class GatingLine:
-    """Q_n along the step of one gating row, from log-odds.
+def gating_line(JS: np.ndarray, z: int, others: np.ndarray):
+    """Q_n along the step of gating row z, from log-odds.
 
-    The joint scores J = S + L and the gating scores S are held stacked as
-    JS = [J, S], shape (2, g, n).  With rest_j and rest_s the log-sum-exp of
-    the other rows of J and S, rho_j = rest_j - J[z] and rho_s = rest_s - S[z]
+    ``JS`` stacks the joint scores J = S + L and the gating scores S,
+    shape (2, g, n); ``others`` lists the rows other than z.  With rest_j and
+    rest_s the log-sum-exp of the other rows of J and S, rho = rest - row z
     are the log-odds of "not z" under the joint and under the gate.  Moving
     row z by x changes Q_n by sum softplus(rho_j - x) - sum softplus(rho_s - x),
     minus the same sum at x = 0, and tau_z and pi_z are exp(-softplus(rho)).
-    The buffers are allocated once and reused by every block of a fit.
+    Returns (tau_z - pi_z, gain), where gain(step, drow) is the change in Q_n
+    when row z moves by step * drow.
     """
+    if len(others) == 1:
+        # the one other row is its own log-sum-exp, exactly
+        rho = JS[:, others[0]] - JS[:, z]
+    else:
+        rho = logsumexp(JS[:, others], axis=1) - JS[:, z]
 
-    def __init__(self, g: int, n: int):
-        self.others = [np.delete(np.arange(g), z) for z in range(g - 1)]
-        self.rho = np.empty((2, n))  # rho_j, rho_s
-        self._x = np.empty(n)
-        self._u = np.empty((2, n))
-        self._tmp = np.empty((2, n))
-        self._base = 0.0
-
-    def anchor(self, JS: np.ndarray, z: int) -> np.ndarray:
-        """Place the line at row z of the stacked scores JS; returns
-        tau_z - pi_z."""
-        if JS.shape[1] == 2:
-            # the one other row is its own log-sum-exp, exactly
-            np.subtract(JS[:, 1 - z], JS[:, z], out=self.rho)
-        else:
-            np.subtract(logsumexp(JS[:, self.others[z]], axis=1), JS[:, z],
-                        out=self.rho)
-        self._u[...] = self.rho
-        sp = _softplus(self._u, self._tmp)
-        self._base = self._net(sp)
-        np.negative(sp, out=sp)
-        np.exp(sp, out=sp)
-        return sp[0] - sp[1]
-
-    @staticmethod
-    def _net(sp: np.ndarray) -> float:
+    def net(sp: np.ndarray) -> float:
         """sum softplus(rho_j - x) - sum softplus(rho_s - x)"""
         s = sp.sum(axis=1)
         return float(s[0] - s[1])
 
-    def gain(self, step: float, drow: np.ndarray) -> float:
-        """Change in Q_n when row z of the gating scores moves by
-        step * drow."""
-        np.multiply(drow, step, out=self._x)
-        np.subtract(self.rho, self._x, out=self._u)
-        return self._net(_softplus(self._u, self._tmp)) - self._base
+    sp = _softplus(rho)
+    base = net(sp)
+    p = np.exp(-sp)
+    return p[0] - p[1], lambda step, drow: net(_softplus(rho - drow * step)) - base
+
+
+def _step_length(gain, factor: float, tol: float):
+    """The gating step-length rule: from the last accepted ``factor``, halve
+    toward the plain curvature-bound step (factor 1) while ``gain(factor)``
+    is not positive; reject the step (factor 0) if it loses more than
+    ``tol``; then double, up to GATING_STEP_CAP, while Q_n still rises.
+    Returns (factor, gain at factor)."""
+    value = gain(factor)
+    while factor > 1.0 and not (np.isfinite(value) and value > 0.0):
+        factor /= 2.0
+        value = gain(factor)
+    if not np.isfinite(value) or value < -tol:
+        # guard: never lose ground on the objective
+        return 0.0, value
+    while factor < GATING_STEP_CAP:
+        trial = gain(2.0 * factor)
+        if not np.isfinite(trial) or trial <= value:
+            break
+        factor, value = 2.0 * factor, trial
+    return factor, value
 
 
 def gating_block_update(data: Dataset, theta: MoeParams, z: int) -> np.ndarray:
@@ -431,18 +423,16 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     objective evaluation in the sweep reuses it.  Gating scores, expert log
     densities and their sum are held component-major, (g, n), so every
     log-sum-exp over components reduces across whole rows; the constant
-    gating Gram matrix is inverted once.  Each gating block step follows the
-    curvature-bound direction, and its length is doubled as long as the
-    objective keeps improving, which cuts cycle counts sharply while
-    preserving monotone ascent.  A ``GatingLine`` prices each trial step
-    from the log-odds of the block's row: two softplus passes over the rows,
-    without re-evaluating the log-sum-exp of the other rows.
+    gating Gram matrix is inverted once.  Each gating block steps along the
+    curvature-bound direction; ``gating_line`` prices trial steps from the
+    block's log-odds, and one rule, ``_step_length``, doubles the step while
+    the objective keeps improving, which cuts cycle counts sharply while
+    preserving monotone ascent.
     """
     config = config or FitConfig()
     check_compatible(data, init)
     theta = init.copy()
     g = theta.g
-    # the gating Gram matrix is constant, so it is inverted once per fit
     M = _gating_step_matrix(data) if g > 1 else None
     gaussian = theta.family == "gaussian"
     floor = variance_floor(data) if gaussian else 0.0
@@ -452,8 +442,8 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     J, S = JS  # views: the joint and the gating scores
     S[...] = (Xt @ theta.gating.T).T
     tau, q = _joint(JS, L)
-    line = GatingLine(g, data.n)
-    step_factor = np.ones(max(g - 1, 1))
+    others = [np.delete(np.arange(g), z) for z in range(g - 1)]
+    step_factor = np.ones(g - 1)
     trace = [q]
     converged = False
     degenerate = False
@@ -462,35 +452,21 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
         try:
             # the guard's tolerance scale; comparisons use exact step gains
             q_cur = q
-            for _ in range(GATING_ROUNDS if g > 1 else 0):
+            for _ in range(GATING_ROUNDS):
                 for z in range(g - 1):
-                    direction = M @ (Xt.T @ line.anchor(JS, z))
+                    resid, gain = gating_line(JS, z, others[z])
+                    direction = M @ (Xt.T @ resid)
                     drow = Xt @ direction
-                    # start from the step length this block last accepted,
-                    # shrinking toward the plain curvature-bound step (factor
-                    # 1) whenever the longer step no longer improves
-                    factor = step_factor[z]
-                    gain = line.gain(factor, drow)
-                    while factor > 1.0 and not (np.isfinite(gain) and gain > 0.0):
-                        factor /= 2.0
-                        gain = line.gain(factor, drow)
-                    if not np.isfinite(gain) or gain < -1e-10 * (1.0 + abs(q_cur)):
-                        # guard: never lose ground on the objective
-                        step_factor[z] = 1.0
-                        continue
-                    while factor < GATING_STEP_CAP:
-                        gain_try = line.gain(2.0 * factor, drow)
-                        if not np.isfinite(gain_try) or gain_try <= gain:
-                            break
-                        factor *= 2.0
-                        gain = gain_try
-                    step_factor[z] = factor
-                    S[z] += factor * drow
-                    np.add(S[z], L[z], out=J[z])
-                    theta.gating[z] = theta.gating[z] + factor * direction
-                    q_cur += gain
-            if g > 1:
-                tau, q_cur = _joint(JS, L)
+                    factor, value = _step_length(
+                        lambda step: gain(step, drow), step_factor[z],
+                        1e-10 * (1.0 + abs(q_cur)))
+                    step_factor[z] = max(factor, 1.0)
+                    if factor:
+                        S[z] += factor * drow
+                        np.add(S[z], L[z], out=J[z])
+                        theta.gating[z] = theta.gating[z] + factor * direction
+                        q_cur += value
+            tau, q_cur = _joint(JS, L)
             old_beta, old_L = theta.beta, L
             if gaussian:
                 theta.beta, theta.sigma2, floored = gaussian_expert_block_update(

@@ -73,7 +73,7 @@ def _read_columns(path: Path, response_col: str,
         zi = header.index("z_true") if "z_true" in header else None
         y = np.array([float(r[yi]) for r in rows])
         z = None if zi is None else np.array([int(float(r[zi])) for r in rows])
-    except (ValueError, IndexError) as err:
+    except (ValueError, IndexError, OverflowError) as err:
         raise FormatError(f"{path}: malformed row ({err})") from None
     return X, y, z
 

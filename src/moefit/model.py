@@ -222,7 +222,11 @@ class Dataset:
             self.y = np.asarray(self.y)
             if not np.issubdtype(self.y.dtype, np.integer):
                 yf = np.asarray(self.y, dtype=float)
-                yi = yf.astype(int)
+                # false for nan and inf too, so the cast below stays silent
+                if not np.all(np.abs(yf) < 2.0 ** 63):
+                    raise ModelError(f"{self.kind} responses must be finite "
+                                     "and within the int64 range")
+                yi = yf.astype(np.int64)
                 if not np.all(yf == yi):
                     raise ModelError(f"{self.kind} responses must be integers")
                 self.y = yi

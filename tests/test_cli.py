@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from moefit.cli import main
+from moefit.cli import _fit_config, build_parser, main
+from moefit.estimation import FitConfig
 from moefit.inference import param_labels
 from moefit.io import load_model, save_model
 from moefit.model import MoeParams
@@ -153,7 +154,8 @@ class TestFit:
 
     @pytest.mark.parametrize("command", ["fit", "select"])
     @pytest.mark.parametrize("flags", [["--threads", "0"], ["--threads", "-3"],
-                                       ["--irls-max-inner", "0"]])
+                                       ["--irls-max-inner", "0"],
+                                       ["--rel-tol", "nan"], ["--rel-tol", "inf"]])
     def test_bad_fit_setting_exits_2(self, tmp_path, line_model, capsys,
                                      command, flags):
         data = self.simulate_line(tmp_path, line_model, n=50)
@@ -164,6 +166,13 @@ class TestFit:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    def test_fit_flag_defaults_match_config(self, command):
+        size = ["--g", "1"] if command == "fit" else ["--G", "1"]
+        args = build_parser().parse_args([command, "--data", "d.csv", "--family",
+                                          "gaussian", *size, "--out", "f.json"])
+        assert _fit_config(args) == FitConfig()
 
     def test_bad_design_exits_2(self, tmp_path, line_model):
         data = self.simulate_line(tmp_path, line_model)
@@ -367,3 +376,29 @@ class TestSummarize:
 
     def test_missing_model_exits_2(self, tmp_path):
         assert run(["summarize", "--model", str(tmp_path / "no.json")]) == 2
+
+    @pytest.mark.parametrize("fit_block", [
+        {"logQL": 1.0},
+        [1],
+        "string-logQL",
+    ], ids=["missing-dim", "array", "string-logQL"])
+    def test_malformed_fit_block_exits_2(self, tmp_path, line_model, capsys,
+                                         fit_block):
+        doc = json.loads(line_model.read_text())
+        if fit_block == "string-logQL":
+            fit_block = {"logQL": "-1.5", "dim": 3, "bic": 10.0, "n": 50,
+                         "cycles": 4, "seed": 0, "converged": True,
+                         "degenerate": False}
+        doc["fit"] = fit_block
+        line_model.write_text(json.dumps(doc))
+        assert run(["summarize", "--model", str(line_model)]) == 2
+        err = capsys.readouterr().err
+        assert "fit block" in err and str(line_model) in err
+
+    def test_saved_fit_block_summarized(self, tmp_path, line_model, capsys):
+        data = TestFit().simulate_line(tmp_path, line_model, n=50)
+        out = tmp_path / "f.json"
+        assert run(["fit", "--data", str(data), "--family", "gaussian",
+                    "--g", "1", "--out", str(out)]) == 0
+        assert run(["summarize", "--model", str(out)]) == 0
+        assert "dim=3" in capsys.readouterr().out

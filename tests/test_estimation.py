@@ -5,16 +5,17 @@ import pytest
 
 from moefit.datagen import gen_moe_sample, gen_three_class, uniform_box_sampler
 from moefit.estimation import (
+    GATING_STEP_CAP,
     THREAD_MIN_ROWS,
     EmptyComponentError,
     FitConfig,
-    GatingLine,
     InfeasibleInitError,
     RankDeficientError,
     fit,
     gating_block_update,
     gating_curvature_hessian,
     gating_gram,
+    gating_line,
     gating_surrogate_value,
     gaussian_expert_block_update,
     glm_expert_block_update,
@@ -27,6 +28,7 @@ from moefit.estimation import (
     _GlmData,
     _glm_grad_hess,
     _softplus,
+    _step_length,
     _weighted_least_squares,
 )
 from moefit.model import (
@@ -39,6 +41,7 @@ from moefit.model import (
     expert_log_density_matrix,
     gate_log_probs,
     log_quasi_likelihood,
+    logsumexp,
     permute_components,
     responsibilities,
 )
@@ -74,6 +77,34 @@ def two_component_sample(family, n, seed):
         return gen_three_class(n, seed=seed)
     return gen_moe_sample(two_line_truth(), uniform_box_sampler([-3.0], [3.0]),
                           n, seed=seed)
+
+
+def short_fit_sample(family, n=200):
+    """One seeded two-regime data set per expert family."""
+    if family in ("gaussian", "multinomial"):
+        return two_component_sample(family, n, seed=0)
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-3.0, 3.0, size=(n, 1))
+    eta = np.where(X[:, 0] > 0.0, 1.5 * X[:, 0] - 1.0, -X[:, 0])
+    if family == "logistic":
+        return Dataset(X, (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(int),
+                       "binary")
+    return Dataset(X, rng.poisson(np.exp(0.5 * eta)), "count")
+
+
+# q_trace of initialize(g=3, seed=0) then fit(max_cycles=3) on
+# short_fit_sample(family).  A change that alters the method on purpose
+# re-records these; one that only restructures the code must keep them.
+PINNED_SHORT_FITS = {
+    "gaussian": [-362.0807975256018, -205.3464441019434, -190.05288978728518,
+                 -189.17321286022246],
+    "logistic": [-111.5914975665275, -94.02187289463535, -83.72413128844528,
+                 -83.07301090302072],
+    "poisson": [-407.698720310265, -344.91335355888316, -340.2127303790349,
+                -339.08731493777185],
+    "multinomial": [-108.03577775260086, -92.66072794947455, -81.94442046070002,
+                    -81.38308245785784],
+}
 
 
 class TestGatingBlockUpdate:
@@ -139,7 +170,7 @@ class TestGatingLine:
     def test_softplus_matches_logaddexp(self):
         u = np.concatenate([np.linspace(-1000.0, 1000.0, 2001),
                             [-1e300, -40.5, 40.5, 1e300]])
-        assert np.allclose(_softplus(u.copy(), np.empty_like(u)),
+        assert np.allclose(_softplus(u),
                            np.logaddexp(0.0, u), rtol=1e-15, atol=1e-300)
 
     # saturated instances: gating rows scaled so that most log-odds pass 40,
@@ -156,26 +187,61 @@ class TestGatingLine:
             Xt = add_intercept(data.X)
             S = theta.gating @ Xt.T
             JS = np.stack([S + expert_log_density_matrix(data, theta).T, S])
-            line = GatingLine(g, data.n)
             q = log_quasi_likelihood(data, theta)
             tau = responsibilities(data, theta)
             gates = np.exp(gate_log_probs(data.X, theta.gating))
             for z in range(g - 1):
-                resid = line.anchor(JS, z)
+                others = np.delete(np.arange(g), z)
+                resid, line_gain = gating_line(JS, z, others)
                 assert np.allclose(resid, tau[:, z] - gates[:, z], rtol=0, atol=1e-12)
-                max_rho = max(max_rho, np.abs(line.rho).max())
+                rho = logsumexp(JS[:, others], axis=1) - JS[:, z]
+                max_rho = max(max_rho, np.abs(rho).max())
                 for _ in range(3):
                     delta = step * rng.normal(size=3)
                     moved = theta.copy()
                     moved.gating[z] += delta
                     exact = log_quasi_likelihood(data, moved) - q
                     f = rng.uniform(0.5, 2.0)
-                    gain = line.gain(f, Xt @ (delta / f))
+                    gain = line_gain(f, Xt @ (delta / f))
                     max_x = max(max_x, np.abs(Xt @ delta).max())
                     assert gain == pytest.approx(exact, rel=1e-9,
                                                  abs=1e-10 * (1 + abs(q)))
         if scale > 1.0:
             assert max_rho > 40.0 and max_x > 800.0
+
+
+class TestStepLength:
+    """The gating step-length rule on synthetic gain functions."""
+
+    def test_doubling_stops_at_cap(self):
+        factor, gain = _step_length(lambda f: f, 1.0, 1e-10)
+        assert (factor, gain) == (GATING_STEP_CAP, GATING_STEP_CAP)
+
+    def test_doubling_stops_when_gain_falls(self):
+        # gain peaks at factor 4
+        factor, gain = _step_length(lambda f: -(f - 4.0) ** 2 + 20.0, 1.0, 1e-10)
+        assert (factor, gain) == (4.0, 20.0)
+
+    def test_remembered_factor_halves_to_one(self):
+        seen = []
+
+        def gain(f):
+            seen.append(f)
+            return 1.0 if f <= 1.0 else -1.0
+
+        assert _step_length(gain, 8.0, 1e-10) == (1.0, 1.0)
+        assert seen == [8.0, 4.0, 2.0, 1.0, 2.0]
+
+    def test_loss_beyond_tolerance_rejected(self):
+        assert _step_length(lambda f: -1e-6 * f, 8.0, 1e-8) == (0.0, -1e-6)
+        assert _step_length(lambda f: np.nan, 1.0, 1e-8)[0] == 0.0
+
+    def test_loss_within_tolerance_kept(self):
+        assert _step_length(lambda f: -1e-9 * f, 2.0, 1e-8) == (1.0, -1e-9)
+
+    def test_non_finite_trial_stops_doubling(self):
+        factor, gain = _step_length(lambda f: f if f < 8.0 else np.inf, 1.0, 1e-10)
+        assert (factor, gain) == (4.0, 4.0)
 
 
 class TestMinorizer:
@@ -461,6 +527,14 @@ class TestFit:
 
     def test_bit_identical_reruns_multinomial(self):
         self.test_bit_identical_reruns("multinomial")
+
+    @pytest.mark.parametrize("family", list(PINNED_SHORT_FITS))
+    def test_short_fit_trajectory_pinned(self, family):
+        data = short_fit_sample(family)
+        init = initialize(data, 3, family, ExpertDesign(), seed=0)
+        result = fit(data, init, FitConfig(max_cycles=3))
+        assert np.allclose(result.q_trace, PINNED_SHORT_FITS[family],
+                           rtol=1e-8, atol=0.0)
 
     def test_responsibilities_well_formed_at_solution(self):
         truth = two_line_truth()

@@ -177,3 +177,9 @@ class TestDatasetCsv:
         path.write_text("x1,y\n1.0,2.0\noops,3.0\n")
         with pytest.raises(FormatError, match="malformed"):
             read_dataset_csv(path, "real")
+
+    def test_infinite_latent_label_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,y,z_true\n1.0,2.0,inf\n")
+        with pytest.raises(FormatError, match="malformed"):
+            read_dataset_csv(path, "real")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from moefit.io import read_dataset_csv
 from moefit.model import (
     EXPERT_FAMILIES,
     FAMILIES,
@@ -278,6 +279,20 @@ class TestDatasetValidation:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ModelError):
             Dataset(np.zeros((0, 1)), np.zeros(0), "real")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["binary", "count", "categorical"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e20])
+    def test_non_finite_integer_response_rejected(self, kind, bad):
+        with pytest.raises(ModelError, match="finite"):
+            Dataset(np.zeros((2, 1)), np.array([1.0, bad]), kind, K=3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_cell_in_csv_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,y\n0.5,1\n0.7,nan\n")
+        with pytest.raises(ModelError, match="finite"):
+            read_dataset_csv(path, "count")
 
 
 class TestExpertDesign:
