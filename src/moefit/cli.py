@@ -103,6 +103,17 @@ def _save_fit(args, result, data, design) -> None:
     io.save_model(args.out, result.theta, meta, covariance)
 
 
+def _box_bound(text: str, flag: str, p: int) -> list[float]:
+    """One corner of simulate moe's covariate box: 1 value for every
+    coordinate, or p values, all finite."""
+    values = [float(v) for v in text.split(",")]
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"{flag} must be finite, got {text!r}")
+    if len(values) not in (1, p):
+        raise UsageError(f"{flag} needs 1 or {p} values, got {len(values)}")
+    return values * p if len(values) == 1 else values
+
+
 def cmd_simulate(args) -> int:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
@@ -113,12 +124,10 @@ def cmd_simulate(args) -> int:
         if not args.model:
             raise UsageError("simulate moe requires --model")
         theta, _ = io.load_model(args.model)
-        low = [float(v) for v in args.x_low.split(",")]
-        high = [float(v) for v in args.x_high.split(",")]
-        if len(low) == 1:
-            low = low * theta.p
-        if len(high) == 1:
-            high = high * theta.p
+        low = _box_bound(args.x_low, "--x-low", theta.p)
+        high = _box_bound(args.x_high, "--x-high", theta.p)
+        if any(lo > hi for lo, hi in zip(low, high)):
+            raise UsageError("--x-low must not exceed --x-high")
         sampler = datagen.uniform_box_sampler(low, high)
         data = datagen.gen_moe_sample(theta, sampler, args.n, args.seed)
         params = {"generator": "moe", "model": str(args.model), "n": args.n,
@@ -147,6 +156,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.g < 1:
+        raise UsageError("--g must be >= 1")
     design = _parse_design(args.design)
     data = _read_data(args, args.family, args.K)
     config = _fit_config(args)
@@ -296,8 +307,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else 0
     try:
         return args.func(args)
-    except (UsageError, io.FormatError, ModelError, ValueError,
-            FileNotFoundError) as err:
+    except (UsageError, io.FormatError, ModelError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (EstimationError, SelectionError, InferenceError) as err:

@@ -247,8 +247,8 @@ def variance_floor(data: Dataset) -> float:
     return VARIANCE_FLOOR_FACTOR * max(v, np.finfo(float).tiny)
 
 
-def _check_starvation(tau: np.ndarray, n: int) -> None:
-    col = tau.sum(axis=0)
+def _check_starvation(W: np.ndarray, n: int) -> None:
+    col = W.sum(axis=1)
     starved = np.where(col < n * STARVATION_FACTOR)[0]
     if starved.size:
         raise EmptyComponentError(
@@ -258,20 +258,18 @@ def _check_starvation(tau: np.ndarray, n: int) -> None:
 
 
 def gaussian_expert_block_update(data: Dataset, theta: MoeParams,
-                                 floor: float,
-                                 tau: np.ndarray | None = None):
-    """Closed-form weighted LS update of all gaussian expert blocks.
+                                 floor: float, W: np.ndarray):
+    """Closed-form weighted LS update of all gaussian expert blocks, with the
+    component-major responsibilities ``W`` (g, n) as weights.
 
     Returns (beta, sigma2, floored) where ``floored`` marks variance-floored
     components.
     """
     if theta.family != "gaussian":
         raise EstimationError("gaussian update requires gaussian experts")
-    if tau is None:
-        tau = responsibilities(data, theta)
-    _check_starvation(tau, data.n)
+    _check_starvation(W, data.n)
     Dt = add_intercept(theta.design.matrix(data.X))
-    beta, sigma2, ok = _weighted_least_squares(Dt, data.y, np.ascontiguousarray(tau.T))
+    beta, sigma2, ok = _weighted_least_squares(Dt, data.y, W)
     if not ok.all():
         z = int(np.flatnonzero(~ok)[0])
         raise _rank_deficient(f"weighted Gram matrix of component {z + 1}")
@@ -324,83 +322,66 @@ def _weighted_glm_fit(glm: _GlmData, W: np.ndarray, beta0: np.ndarray,
     """Newton steps with step-halving on a batch of weighted expert
     log-likelihoods, one expert per row of ``W`` and ``beta0``.
 
-    The experts are independent: each Newton iteration solves all of them in
-    one batched solve, and step-halving accepts or halves each one on its own
-    log-likelihood.  An expert stops once its gradient vanishes, its step is
-    not finite, or no halved step improves it.  Returns (beta, capped) where
-    ``capped`` (b,) marks experts clipped at the separation cap on the
-    linear-predictor scale.
+    The experts are independent, and boolean masks track which still move.
+    Each Newton iteration solves the whole batch in one batched solve; an
+    expert stops once its gradient vanishes, its step is not finite, or no
+    halved step improves it.  Step-halving prices each trial on the whole
+    batch and accepts a ``pending`` expert on its own log-likelihood.
+    Returns (beta, capped) where ``capped`` (b,) marks experts clipped at the
+    separation cap on the linear-predictor scale.
     """
     beta = beta0.copy()
     ll = _glm_ll(glm, W, beta)
     active = np.ones(len(beta), dtype=bool)
     for _ in range(max_inner):
-        idx = np.flatnonzero(active)
-        grad, hess = _glm_grad_hess(glm, W[idx], beta[idx])
-        moving = np.abs(grad).max(axis=1) >= 1e-9 * (1.0 + np.abs(ll[idx]))
-        active[idx[~moving]] = False
-        idx, grad, hess = idx[moving], grad[moving], hess[moving]
+        grad, hess = _glm_grad_hess(glm, W, beta)
         # a system that is not positive definite gives a NaN step, which
         # stops only its own expert
         delta, _ = _cholesky_solve(-hess + 1e-10 * np.eye(hess.shape[1]), grad)
-        finite = np.all(np.isfinite(delta), axis=1)
-        active[idx[~finite]] = False
-        idx, delta = idx[finite], delta[finite]
-        if not idx.size:
-            break
-        delta = delta.reshape(len(idx), -1, glm.Dt.shape[1])  # per free class
-        improved = np.zeros(len(idx), dtype=bool)
-        pending = np.arange(len(idx))
-        step = 1.0
-        for _ in range(30):
-            if not pending.size:
+        active &= np.abs(grad).max(axis=1) >= 1e-9 * (1.0 + np.abs(ll))
+        active &= np.all(np.isfinite(delta), axis=1)
+        delta = delta.reshape(len(beta), -1, glm.Dt.shape[1])  # per free class
+        improved = np.zeros_like(active)
+        pending = active.copy()
+        for step in 0.5 ** np.arange(30.0):
+            if not pending.any():
                 break
-            rows = idx[pending]
-            cand = beta[rows]
-            free = glm.fam.free_coefs(cand)
-            free += step * delta[pending]
+            cand = beta.copy()
+            glm.fam.free_coefs(cand)[...] += step * delta
             # a trial step may overflow a poisson mean; np.isfinite below
             # rejects it
             with np.errstate(over="ignore"):
-                ll_new = _glm_ll(glm, W[rows], cand)
-            ll_old = ll[rows]
-            ok = np.isfinite(ll_new) & (
-                ll_new >= ll_old - 1e-12 * (1.0 + np.abs(ll_old)))
-            improved[pending[ok]] = ll_new[ok] > ll_old[ok]
-            beta[rows[ok]] = cand[ok]
-            ll[rows[ok]] = ll_new[ok]
-            pending = pending[~ok]
-            step *= 0.5
-        active[idx[~improved]] = False
+                ll_new = _glm_ll(glm, W, cand)
+            ok = pending & np.isfinite(ll_new) & (
+                ll_new >= ll - 1e-12 * (1.0 + np.abs(ll)))
+            improved |= ok & (ll_new > ll)
+            beta[ok], ll[ok] = cand[ok], ll_new[ok]
+            pending &= ~ok
+        active &= improved
         if not active.any():
             break
-    capped = np.zeros(len(beta), dtype=bool)
-    if glm.fam.separable:
-        capped = np.abs(beta).reshape(len(beta), -1).max(axis=1) > GLM_COEF_CAP
-        c = np.flatnonzero(capped)
-        if c.size:
-            # clipping keeps a pinned zero class at zero
-            clipped = np.clip(beta[c], -GLM_COEF_CAP, GLM_COEF_CAP)
-            # keep a clipped solution only if it still improves on the start
-            keep = _glm_ll(glm, W[c], clipped) >= _glm_ll(glm, W[c], beta0[c])
-            keep = keep.reshape((-1,) + (1,) * (beta.ndim - 1))
-            beta[c] = np.where(keep, clipped, beta0[c])
+    capped = glm.fam.separable & (
+        np.abs(beta).reshape(len(beta), -1).max(axis=1) > GLM_COEF_CAP)
+    if capped.any():
+        # clipping keeps a pinned zero class at zero
+        clipped = np.clip(beta[capped], -GLM_COEF_CAP, GLM_COEF_CAP)
+        # keep a clipped solution only if it still improves on the start
+        keep = _glm_ll(glm, W[capped], clipped) >= _glm_ll(glm, W[capped], beta0[capped])
+        keep = keep.reshape((-1,) + (1,) * (beta.ndim - 1))
+        beta[capped] = np.where(keep, clipped, beta0[capped])
     return beta, capped
 
 
 def glm_expert_block_update(data: Dataset, theta: MoeParams,
-                            config: FitConfig,
-                            tau: np.ndarray | None = None):
-    """Update all GLM expert blocks; returns (beta, any_capped)."""
+                            config: FitConfig, W: np.ndarray):
+    """Update all GLM expert blocks, with the component-major
+    responsibilities ``W`` (g, n) as weights; returns (beta, any_capped)."""
     if theta.family == "gaussian":
         raise EstimationError("use gaussian_expert_block_update for gaussian experts")
-    if tau is None:
-        tau = responsibilities(data, theta)
-    _check_starvation(tau, data.n)
+    _check_starvation(W, data.n)
     glm = _GlmData.build(theta.family, add_intercept(theta.design.matrix(data.X)),
                          data.y, theta.K)
-    beta, capped = _weighted_glm_fit(glm, np.ascontiguousarray(tau.T),
-                                     theta.beta, config.irls_max_inner)
+    beta, capped = _weighted_glm_fit(glm, W, theta.beta, config.irls_max_inner)
     return beta, bool(capped.any())
 
 
@@ -470,10 +451,10 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
             old_beta, old_L = theta.beta, L
             if gaussian:
                 theta.beta, theta.sigma2, floored = gaussian_expert_block_update(
-                    data, theta, floor, tau=tau.T)
+                    data, theta, floor, tau)
                 degenerate = bool(floored.any())
             else:
-                theta.beta, _ = glm_expert_block_update(data, theta, config, tau=tau.T)
+                theta.beta, _ = glm_expert_block_update(data, theta, config, tau)
             L = np.ascontiguousarray(expert_log_density_matrix(data, theta).T)
             tau, q_new = _joint(JS, L)
             # ascent guard: a capped/aborted GLM inner solve must not lose ground
@@ -509,8 +490,6 @@ def _random_hard_partition(data: Dataset, g: int,
     row farthest from its current center, which keeps every group nonempty.
     """
     n = data.n
-    if g == 1:
-        return np.zeros(n, dtype=int)
     Z = np.column_stack([data.X, data.y.astype(float)])
     sd = Z.std(axis=0)
     Z = (Z - Z.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
@@ -537,6 +516,8 @@ def initialize(data: Dataset, g: int, family: str, design: ExpertDesign,
     Each expert is fit to its partition group with hard weights and the
     gating starts uniform (all zeros).  g=1 is deterministic.
     """
+    if g < 1:
+        raise ValueError("g must be >= 1")
     config = config or FitConfig()
     d = design.width(data.p)
     if data.n < g * (d + 1):

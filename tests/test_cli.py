@@ -100,6 +100,18 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bounds", [
+        ["--x-low", "nan"],
+        ["--x-low", "0,1,2"],
+        ["--x-low", "2", "--x-high", "1"],
+    ], ids=["nan", "wrong-count", "empty-box"])
+    def test_bad_moe_box_exits_2(self, tmp_path, line_model, capsys, bounds):
+        out = tmp_path / "m.csv"
+        assert run(["simulate", "moe", "--n", "10", "--model", str(line_model),
+                    "--out", str(out), *bounds]) == 2
+        assert "error: --x-low" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def simulate_line(self, tmp_path, line_model, n=200):
@@ -173,6 +185,15 @@ class TestFit:
         args = build_parser().parse_args([command, "--data", "d.csv", "--family",
                                           "gaussian", *size, "--out", "f.json"])
         assert _fit_config(args) == FitConfig()
+
+    @pytest.mark.parametrize("g", ["0", "-1"])
+    def test_g_below_one_exits_2(self, tmp_path, line_model, capsys, g):
+        data = self.simulate_line(tmp_path, line_model, n=50)
+        out = tmp_path / "f.json"
+        assert run(["fit", "--data", str(data), "--family", "gaussian",
+                    "--g", g, "--out", str(out)]) == 2
+        assert "--g must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_design_exits_2(self, tmp_path, line_model):
         data = self.simulate_line(tmp_path, line_model)
@@ -366,6 +387,31 @@ def test_json_array_model_exits_2(tmp_path, capsys, command):
         argv += ["--out", str(tmp_path / "out.csv")]
     assert run(argv + ["--model", str(model)]) == 2
     assert "not a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("fit", "--data"), ("fit", "--out"), ("select", "--table"),
+    ("predict", "--model"), ("predict", "--data"), ("predict", "--out"),
+    ("summarize", "--model"), ("three-class", "--out"),
+    ("switch-signal", "--signal-spec"), ("moe", "--model"),
+], ids=lambda v: v.lstrip("-"))
+def test_directory_path_exits_2(tmp_path, line_model, capsys, command, flag):
+    data = TestFit().simulate_line(tmp_path, line_model, n=50)
+    out = str(tmp_path / "out")
+    fit = ["--data", str(data), "--family", "gaussian", "--out", out]
+    argv = {
+        "fit": ["fit", "--g", "1", *fit],
+        "select": ["select", "--G", "1", *fit],
+        "predict": ["predict", "--model", str(line_model), "--data", str(data),
+                    "--mode", "mean", "--out", out],
+        "summarize": ["summarize", "--model", str(line_model)],
+        "three-class": ["simulate", "three-class", "--n", "10", "--out", out],
+        "switch-signal": ["simulate", "switch-signal", "--n", "50", "--out", out],
+        "moe": ["simulate", "moe", "--n", "10", "--out", out],
+    }[command]
+    # the directory takes the flag's place: argparse keeps the last value
+    assert run(argv + [flag, str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 class TestSummarize:

@@ -27,8 +27,10 @@ from moefit.estimation import (
     _cholesky_solve,
     _GlmData,
     _glm_grad_hess,
+    _glm_ll,
     _softplus,
     _step_length,
+    _weighted_glm_fit,
     _weighted_least_squares,
 )
 from moefit.model import (
@@ -280,7 +282,8 @@ class TestGaussianExpertBlockUpdate:
         data = Dataset(X, y, "real")
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 3)),
                           beta=np.zeros((1, 3)), sigma2=np.array([1.0]))
-        beta, sigma2, floored = gaussian_expert_block_update(data, theta, 1e-12)
+        beta, sigma2, floored = gaussian_expert_block_update(data, theta, 1e-12,
+                                                             np.ones((1, 50)))
         Xt = np.column_stack([np.ones(50), X])
         bols = np.linalg.lstsq(Xt, y, rcond=None)[0]
         assert np.allclose(beta[0], bols, atol=1e-8)
@@ -294,7 +297,8 @@ class TestGaussianExpertBlockUpdate:
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)), sigma2=np.array([1.0]))
         floor = variance_floor(data)
-        beta, sigma2, floored = gaussian_expert_block_update(data, theta, floor)
+        beta, sigma2, floored = gaussian_expert_block_update(data, theta, floor,
+                                                             np.ones((1, 10)))
         assert np.allclose(beta[0], [1.0, 2.0], atol=1e-10)
         assert sigma2[0] == floor
         assert floored[0]
@@ -307,9 +311,9 @@ class TestGaussianExpertBlockUpdate:
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)), sigma2=np.array([1.0]))
         b1, _, _ = gaussian_expert_block_update(data, theta, 1e-12,
-                                                tau=np.ones((30, 1)))
+                                                np.ones((1, 30)))
         b2, _, _ = gaussian_expert_block_update(data, theta, 1e-12,
-                                                tau=np.full((30, 1), 0.37))
+                                                np.full((1, 30), 0.37))
         assert np.allclose(b1, b2, atol=1e-10)
 
     def test_batched_matches_component_loop(self):
@@ -331,26 +335,26 @@ class TestGaussianExpertBlockUpdate:
         # component 2 weighs only rows that share one covariate value
         X = np.concatenate([np.linspace(-1.0, 1.0, 8), np.full(4, 0.5)])[:, None]
         data = Dataset(X, np.arange(12.0), "real")
-        tau = np.zeros((12, 2))
-        tau[:8, 0] = 1.0
-        tau[8:, 1] = 1.0
+        W = np.zeros((2, 12))
+        W[0, :8] = 1.0
+        W[1, 8:] = 1.0
         theta = MoeParams(family="gaussian", gating=np.zeros((2, 2)),
                           beta=np.zeros((2, 2)), sigma2=np.ones(2))
         with pytest.raises(RankDeficientError, match="component 2"):
-            gaussian_expert_block_update(data, theta, 1e-12, tau=tau)
+            gaussian_expert_block_update(data, theta, 1e-12, W)
         Dt = add_intercept(X)
-        beta, _, ok = _weighted_least_squares(Dt, data.y, tau.T)
+        beta, _, ok = _weighted_least_squares(Dt, data.y, W)
         assert ok.tolist() == [True, False]
         assert np.all(np.isnan(beta[1])) and np.all(np.isfinite(beta[0]))
-        _, _, ok = _weighted_least_squares(Dt, data.y, tau.T, ridge=1e-8)
+        _, _, ok = _weighted_least_squares(Dt, data.y, W, ridge=1e-8)
         assert ok.all()
 
     def test_starved_component_raises(self):
         data, theta = random_gaussian_instance(0, n=10)
-        tau = np.zeros((10, 2))
-        tau[:, 0] = 1.0
+        W = np.zeros((2, 10))
+        W[0] = 1.0
         with pytest.raises(EmptyComponentError):
-            gaussian_expert_block_update(data, theta, 1e-12, tau=tau)
+            gaussian_expert_block_update(data, theta, 1e-12, W)
 
 
 class TestGlmExpertBlockUpdate:
@@ -358,7 +362,7 @@ class TestGlmExpertBlockUpdate:
         data = Dataset(np.zeros((10, 0)), np.array([0, 1] * 5), "binary")
         theta = MoeParams(family="logistic", gating=np.zeros((1, 1)),
                           beta=np.array([[0.5]]))
-        beta, _ = glm_expert_block_update(data, theta, FitConfig())
+        beta, _ = glm_expert_block_update(data, theta, FitConfig(), np.ones((1, 10)))
         assert beta[0, 0] == pytest.approx(0.0, abs=1e-8)
 
     def test_poisson_intercept_log_mean(self):
@@ -366,7 +370,7 @@ class TestGlmExpertBlockUpdate:
         data = Dataset(np.zeros((6, 0)), y, "count")
         theta = MoeParams(family="poisson", gating=np.zeros((1, 1)),
                           beta=np.array([[0.0]]))
-        beta, _ = glm_expert_block_update(data, theta, FitConfig())
+        beta, _ = glm_expert_block_update(data, theta, FitConfig(), np.ones((1, 6)))
         assert beta[0, 0] == pytest.approx(np.log(y.mean()), abs=1e-8)
 
     def test_random_instance_ascent(self, family="logistic"):
@@ -389,7 +393,7 @@ class TestGlmExpertBlockUpdate:
                            rng.integers(1, 4, size=60), "categorical", K=3)
         q_before = log_quasi_likelihood(data, theta)
         tau = responsibilities(data, theta)
-        beta, _ = glm_expert_block_update(data, theta, FitConfig(), tau=tau)
+        beta, _ = glm_expert_block_update(data, theta, FitConfig(), tau.T)
         after = theta.copy()
         after.beta = beta
         q_after = log_quasi_likelihood(data, after)
@@ -405,7 +409,7 @@ class TestGlmExpertBlockUpdate:
             solo = MoeParams(family=family, gating=np.zeros((1, 2)),
                              beta=theta.beta[z:z + 1], K=theta.K)
             beta_z, _ = glm_expert_block_update(data, solo, FitConfig(),
-                                                tau=w[:, None])
+                                                w[None, :])
             assert np.allclose(beta_z[0], beta[z], rtol=1e-10, atol=1e-12)
 
     def test_random_instance_ascent_multinomial(self):
@@ -453,6 +457,37 @@ class TestGlmExpertBlockUpdate:
             assert np.allclose(grad[:, i], fd_grad, rtol=1e-6, atol=1e-6)
             assert np.allclose(hess[:, :, i], fd_hess, rtol=1e-6, atol=1e-6)
 
+    def test_experts_stopping_at_different_iterations(self):
+        # expert 0 starts at its optimum, expert 1 so far out that the full
+        # Newton step loses and step-halving runs, expert 2 at zero
+        rng = np.random.default_rng(41)
+        n = 80
+        x = rng.normal(size=n)
+        Dt = np.column_stack([np.ones(n), x])
+        y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-0.5 - x))).astype(int)
+        glm = _GlmData.build("logistic", Dt, y, None)
+        W = rng.uniform(0.1, 1.0, size=(3, n))
+        opt, _ = _weighted_glm_fit(glm, W[:1], np.zeros((1, 2)), 50)
+        beta0 = np.array([opt[0], [6.0, -6.0], [0.0, 0.0]])
+        grad, hess = _glm_grad_hess(glm, W, beta0)
+        ll = _glm_ll(glm, W, beta0)
+        assert np.abs(grad[0]).max() < 1e-9 * (1.0 + abs(ll[0]))
+        delta, _ = _cholesky_solve(-hess, grad)
+        assert _glm_ll(glm, W, beta0 + delta)[1] < ll[1]
+
+        def solo(z, max_inner=25):
+            return _weighted_glm_fit(glm, W[z:z + 1], beta0[z:z + 1], max_inner)[0][0]
+
+        beta, capped = _weighted_glm_fit(glm, W, beta0, 25)
+        assert not capped.any()
+        assert np.array_equal(beta[0], beta0[0])
+        for z in range(3):
+            assert np.allclose(beta[z], solo(z), rtol=1e-10, atol=1e-10)
+        # expert 2 takes a few Newton steps and stops before expert 1
+        assert not np.array_equal(solo(2, 1), solo(2))
+        assert np.array_equal(solo(2, 6), solo(2))
+        assert not np.array_equal(solo(1, 6), solo(1))
+
     def test_singular_newton_system_gives_nan_direction(self):
         # a singular system stops only its own expert in the batched solve
         A = np.stack([np.eye(2), np.zeros((2, 2))])
@@ -482,7 +517,7 @@ class TestGlmExpertBlockUpdate:
         theta = MoeParams(family="logistic", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)))
         beta, capped = glm_expert_block_update(
-            data, theta, FitConfig(irls_max_inner=200))
+            data, theta, FitConfig(irls_max_inner=200), np.ones((1, 20)))
         assert capped
         assert np.max(np.abs(beta)) <= 30.0 + 1e-12
 
@@ -586,6 +621,12 @@ class TestInitialize:
             near = [min(abs(s - 2.0), abs(s + 1.5)) for s in slopes]
             hits += all(v <= 0.5 for v in near)
         assert hits >= 8
+
+    @pytest.mark.parametrize("g", [0, -1])
+    def test_g_below_one_raises(self, g):
+        data = Dataset(np.zeros((10, 1)), np.zeros(10), "real")
+        with pytest.raises(ValueError, match="g must be >= 1"):
+            initialize(data, g, "gaussian", ExpertDesign(), 0)
 
     def test_too_small_sample_raises(self):
         data = Dataset(np.zeros((3, 1)), np.zeros(3), "real")
