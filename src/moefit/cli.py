@@ -15,7 +15,7 @@ import numpy as np
 
 from . import datagen, io, tasks
 from .estimation import (THREAD_MIN_ROWS, EstimationError, FitConfig,
-                         multi_start_fit)
+                         InfeasibleInitError, multi_start_fit)
 from .inference import (InferenceError, mean_ci_rows, sandwich_covariance,
                         standard_errors)
 from .model import (FAMILIES, ExpertDesign, ModelError, expert_family,
@@ -307,7 +307,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else 0
     try:
         return args.func(args)
-    except (UsageError, io.FormatError, ModelError, ValueError, OSError) as err:
+    except (UsageError, io.FormatError, ModelError, ValueError, OSError,
+            InfeasibleInitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (EstimationError, SelectionError, InferenceError) as err:

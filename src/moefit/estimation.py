@@ -36,8 +36,9 @@ STARVATION_FACTOR = 1e-12
 # gaussian variances are floored at this fraction of the response variance
 VARIANCE_FLOOR_FACTOR = 1e-10
 GLM_COEF_CAP = 30.0
-# every outer cycle sweeps the gating blocks GATING_ROUNDS times, and
-# _step_length lengthens each curvature-bound step up to GATING_STEP_CAP times
+# every outer cycle of a GLM fit sweeps the gating blocks GATING_ROUNDS times,
+# a gaussian fit at most that often (see fit), and _step_length lengthens each
+# curvature-bound step up to GATING_STEP_CAP times
 GATING_ROUNDS = 3
 GATING_STEP_CAP = 64.0
 # multi_start_fit runs its starts on threads only on data of at least this
@@ -90,6 +91,8 @@ class FitResult:
     converged: bool
     degenerate: bool
     seed_used: int
+    # "start k (seed s): reason" per failed start of multi_start_fit
+    failed_starts: tuple[str, ...] = ()
 
     @property
     def q_hat(self) -> float:
@@ -409,6 +412,11 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     block's log-odds, and one rule, ``_step_length``, doubles the step while
     the objective keeps improving, which cuts cycle counts sharply while
     preserving monotone ascent.
+
+    GLM fits sweep the gating blocks GATING_ROUNDS times per cycle, standing
+    in for their one-step Newton expert block.  Gaussian fits sweep again
+    only while the last sweep gained more Q_n than the previous cycle's
+    expert block (0 in cycle 1), up to GATING_ROUNDS sweeps.
     """
     config = config or FitConfig()
     check_compatible(data, init)
@@ -428,12 +436,14 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     trace = [q]
     converged = False
     degenerate = False
+    expert_gain = 0.0  # the last expert block's gain in Q_n
     cycle = 0
     for cycle in range(1, config.max_cycles + 1):
         try:
             # the guard's tolerance scale; comparisons use exact step gains
             q_cur = q
             for _ in range(GATING_ROUNDS):
+                sweep_gain = 0.0
                 for z in range(g - 1):
                     resid, gain = gating_line(JS, z, others[z])
                     direction = M @ (Xt.T @ resid)
@@ -447,6 +457,10 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
                         np.add(S[z], L[z], out=J[z])
                         theta.gating[z] = theta.gating[z] + factor * direction
                         q_cur += value
+                        sweep_gain += value
+                # gaussian: sweep again only while the gate out-gains the experts
+                if gaussian and sweep_gain <= expert_gain:
+                    break
             tau, q_cur = _joint(JS, L)
             old_beta, old_L = theta.beta, L
             if gaussian:
@@ -461,6 +475,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
             if not gaussian and q_new < q_cur - 1e-10 * (1.0 + abs(q_cur)):
                 theta.beta, L = old_beta, old_L
                 tau, q_new = _joint(JS, L)
+            expert_gain = q_new - q_cur
         except EstimationError as err:
             raise type(err)(f"cycle {cycle}: {err}") from err
         trace.append(q_new)
@@ -509,6 +524,15 @@ def _random_hard_partition(data: Dataset, g: int,
     return labels
 
 
+def _check_init_rows(data: Dataset, g: int, design: ExpertDesign) -> None:
+    """Raise InfeasibleInitError when the data have too few rows to fit each
+    of g experts to its own group."""
+    need = g * (design.width(data.p) + 1)
+    if data.n < need:
+        raise InfeasibleInitError(
+            f"need at least {need} rows to initialize g={g}, have {data.n}")
+
+
 def initialize(data: Dataset, g: int, family: str, design: ExpertDesign,
                seed: int, config: FitConfig | None = None) -> MoeParams:
     """Seeded initialization from a random hard partition of the rows.
@@ -519,11 +543,8 @@ def initialize(data: Dataset, g: int, family: str, design: ExpertDesign,
     if g < 1:
         raise ValueError("g must be >= 1")
     config = config or FitConfig()
+    _check_init_rows(data, g, design)
     d = design.width(data.p)
-    if data.n < g * (d + 1):
-        raise InfeasibleInitError(
-            f"need at least {g * (d + 1)} rows to initialize g={g}, have {data.n}"
-        )
     rng = np.random.default_rng(seed)
     labels = _random_hard_partition(data, g, rng)
     Dt = add_intercept(design.matrix(data.X))
@@ -563,12 +584,16 @@ def multi_start_fit(data: Dataset, g: int, family: str,
     put in ``canonical_order``, so starts that reach one optimum under swapped
     labels return the same parameters.  The winner has the largest final
     log-quasi-likelihood, ties broken toward the lowest start index; the merge
-    is deterministic regardless of how many threads ran the starts.
+    is deterministic regardless of how many threads ran the starts, and it
+    carries the failure messages of the other starts in ``failed_starts``.
+    Data with too few rows for ``initialize`` raise one InfeasibleInitError
+    before any start runs.
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     config = config or FitConfig()
     design = design or ExpertDesign()
+    _check_init_rows(data, g, design)
 
     def run(k: int) -> FitResult | str:
         """Start k's fit, or the reason it failed."""
@@ -592,4 +617,5 @@ def multi_start_fit(data: Dataset, g: int, family: str,
     if not results:
         raise EstimationError("all starts failed:\n  " + "\n  ".join(failures))
     _, best = max(results, key=lambda kr: (kr[1].q_hat, -kr[0]))
+    best.failed_starts = tuple(failures)
     return best

@@ -151,12 +151,16 @@ class TestFit:
         cov = np.asarray(doc["covariance"]["matrix"])
         assert cov.shape == (3, 3)
 
-    def test_infeasible_g_exits_3(self, tmp_path, line_model, capsys):
+    def test_infeasible_g_exits_2(self, tmp_path, line_model, capsys):
         data = self.simulate_line(tmp_path, line_model, n=10)
+        out = tmp_path / "f.json"
         code = run(["fit", "--data", str(data), "--family", "gaussian",
-                    "--g", "8", "--out", str(tmp_path / "f.json")])
-        assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+                    "--g", "8", "--starts", "10", "--out", str(out)])
+        assert code == 2
+        # one message, not one per start
+        assert capsys.readouterr().err == (
+            "error: need at least 16 rows to initialize g=8, have 10\n")
+        assert not out.exists()
 
     def test_missing_data_file_exits_2(self, tmp_path):
         code = run(["fit", "--data", str(tmp_path / "nope.csv"),

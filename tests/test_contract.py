@@ -1,11 +1,18 @@
-"""Static guards: the names the benchmark traces exist, and no module of the
-package imports a name it never uses."""
+"""Guards on what other code relies on: the names the benchmark traces exist,
+the benchmark's fit collector sees one ``fit`` call per start, and no module
+of the package imports a name it never uses."""
 
 import ast
 import importlib
+import threading
 from pathlib import Path
 
 import pytest
+
+import moefit.estimation as estimation
+from moefit.datagen import gen_three_class
+from moefit.estimation import THREAD_MIN_ROWS, FitConfig, multi_start_fit
+from moefit.selection import select_g
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "moefit"
@@ -26,6 +33,42 @@ def traced_names():
 def test_traced_name_resolves(module, name):
     assert callable(getattr(importlib.import_module(f"moefit.{module}"), name, None)), \
         f"moefit.{module}.{name} is traced by the benchmark but does not exist"
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Replace ``moefit.estimation.fit`` with a counting wrapper, the way the
+    benchmark's ``Fits`` collector wraps it, and return the call log.  The
+    benchmark checks how many starts it sees through this wrapper, so a change
+    that stops calling ``fit`` once per start must change the benchmark
+    first.  Each call logs (seed, whether it ran on the main thread)."""
+    calls = []
+    original = estimation.fit
+
+    def counted(*args, **kwargs):
+        calls.append((kwargs.get("seed_used"),
+                      threading.current_thread() is threading.main_thread()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "fit", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, n_threads", [(200, 1), (THREAD_MIN_ROWS, 2)])
+def test_fit_called_once_per_start(fit_calls, n, n_threads):
+    data = gen_three_class(n, seed=0)
+    multi_start_fit(data, 2, "multinomial",
+                    config=FitConfig(n_starts=3, max_cycles=2, irls_max_inner=1),
+                    n_threads=n_threads)
+    seeds, on_main = zip(*sorted(fit_calls))
+    assert seeds == (0, 1, 2)
+    assert all(on_main) == (n_threads == 1)
+
+
+def test_select_g_calls_fit_once_per_start_and_g(fit_calls):
+    data = gen_three_class(200, seed=0)
+    select_g(data, 2, "multinomial", config=FitConfig(n_starts=2, rel_tol=1e-3))
+    assert [seed for seed, _ in fit_calls] == [0, 1, 0, 1]
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import moefit.estimation as estimation
 from moefit.datagen import gen_moe_sample, gen_three_class, uniform_box_sampler
 from moefit.estimation import (
+    GATING_ROUNDS,
     GATING_STEP_CAP,
     THREAD_MIN_ROWS,
     EmptyComponentError,
@@ -98,8 +100,8 @@ def short_fit_sample(family, n=200):
 # short_fit_sample(family).  A change that alters the method on purpose
 # re-records these; one that only restructures the code must keep them.
 PINNED_SHORT_FITS = {
-    "gaussian": [-362.0807975256018, -205.3464441019434, -190.05288978728518,
-                 -189.17321286022246],
+    "gaussian": [-362.0807975256018, -205.3464441019434, -191.53049028024157,
+                 -189.88515637370983],
     "logistic": [-111.5914975665275, -94.02187289463535, -83.72413128844528,
                  -83.07301090302072],
     "poisson": [-407.698720310265, -344.91335355888316, -340.2127303790349,
@@ -571,6 +573,61 @@ class TestFit:
         assert np.allclose(result.q_trace, PINNED_SHORT_FITS[family],
                            rtol=1e-8, atol=0.0)
 
+    @staticmethod
+    def sweeps_per_cycle(monkeypatch):
+        """Count the gating-row updates of each cycle of the fits this test
+        runs: ``gating_line`` prices one row update, and the expert block
+        closes the cycle."""
+        counts = [0]
+
+        def counted(fn, close):
+            def wrapped(*args, **kwargs):
+                if close:
+                    counts.append(0)
+                else:
+                    counts[-1] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(estimation, "gating_line",
+                            counted(estimation.gating_line, False))
+        for name in ("gaussian_expert_block_update", "glm_expert_block_update"):
+            monkeypatch.setattr(estimation, name,
+                                counted(getattr(estimation, name), True))
+        return counts
+
+    @staticmethod
+    def assert_monotone(q_trace):
+        assert np.all(np.diff(q_trace) >= -1e-10 * (1.0 + np.abs(q_trace[:-1])))
+
+    def test_glm_fit_sweeps_gating_rounds_every_cycle(self, monkeypatch):
+        g = 3
+        counts = self.sweeps_per_cycle(monkeypatch)
+        data = two_component_sample("multinomial", 300, seed=3)
+        config = FitConfig(max_cycles=40, irls_max_inner=1)
+        result = fit(data, initialize(data, g, "multinomial", ExpertDesign(), 0, config),
+                     config)
+        # the last entry is the empty count opened by the final expert block
+        assert counts[-1] == 0 and len(counts) == result.cycles_used + 1
+        assert counts[:-1] == [GATING_ROUNDS * (g - 1)] * result.cycles_used
+        self.assert_monotone(result.q_trace)
+
+    def test_gaussian_fit_sweeps_less_after_cycle_one(self, monkeypatch):
+        g = 2
+        counts = self.sweeps_per_cycle(monkeypatch)
+        data = two_component_sample("gaussian", 300, seed=3)
+        config = FitConfig(max_cycles=200, rel_tol=1e-12)
+        result = fit(data, initialize(data, g, "gaussian", ExpertDesign(), 0, config),
+                     config)
+        sweeps = counts[:-1]
+        assert len(sweeps) == result.cycles_used > 10
+        # the first cycle knows no expert gain yet and sweeps GATING_ROUNDS
+        # times; later cycles sweep at least once and at most that often
+        assert sweeps[0] == GATING_ROUNDS * (g - 1)
+        assert all(g - 1 <= c <= GATING_ROUNDS * (g - 1) for c in sweeps)
+        assert sum(sweeps[1:]) < GATING_ROUNDS * (g - 1) * (len(sweeps) - 1)
+        self.assert_monotone(result.q_trace)
+
     def test_responsibilities_well_formed_at_solution(self):
         truth = two_line_truth()
         data = gen_moe_sample(truth, uniform_box_sampler([-3.0], [3.0]), 300, seed=7)
@@ -729,6 +786,33 @@ class TestMultiStart:
         with pytest.raises(ValueError, match="n_threads"):
             multi_start_fit(data, 2, "gaussian", ExpertDesign(),
                             FitConfig(n_starts=1), n_threads=n_threads)
+
+    def test_infeasible_g_raises_once_before_any_start(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimation, "initialize",
+                            lambda *args, **kwargs: calls.append(args))
+        data = two_component_sample("gaussian", 10, seed=12)
+        with pytest.raises(InfeasibleInitError) as err:
+            multi_start_fit(data, 8, "gaussian", ExpertDesign(), FitConfig(n_starts=4))
+        assert str(err.value) == "need at least 16 rows to initialize g=8, have 10"
+        assert calls == []
+
+    def test_failed_starts_kept_on_winner(self, monkeypatch):
+        original = estimation.initialize
+
+        def starve_seed_1(data, g, family, design, seed, config=None):
+            if seed == 1:
+                raise EmptyComponentError("component(s) [2] starved")
+            return original(data, g, family, design, seed, config)
+
+        data = two_component_sample("gaussian", 100, seed=12)
+        config = FitConfig(n_starts=3, seed=0, max_cycles=10)
+        clean = multi_start_fit(data, 2, "gaussian", ExpertDesign(), config)
+        assert clean.failed_starts == ()
+        monkeypatch.setattr(estimation, "initialize", starve_seed_1)
+        best = multi_start_fit(data, 2, "gaussian", ExpertDesign(), config)
+        assert best.failed_starts == ("start 1 (seed 1): component(s) [2] starved",)
+        assert best.seed_used != 1
 
 
 class TestFitConfigValidation:

@@ -5,7 +5,7 @@ import pytest
 
 from moefit.datagen import gen_moe_sample, uniform_box_sampler
 from moefit.estimation import FitConfig
-from moefit.model import ExpertDesign, MoeParams
+from moefit.model import Dataset, ExpertDesign, MoeParams
 from moefit.selection import GFit, SelectionReport, bic, param_count, select_g
 
 
@@ -133,6 +133,16 @@ class TestSelectG:
             uniform_box_sampler([-2.0], [2.0]), 50, seed=4)
         with pytest.raises(ValueError, match="n_threads"):
             select_g(data, 2, "gaussian", n_threads=n_threads)
+
+    def test_infeasible_g_row_not_selectable(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.0, 1.0, size=(5, 1))
+        data = Dataset(x, 1.0 + 2.0 * x[:, 0] + 0.1 * rng.normal(size=5), "real")
+        report = select_g(data, 3, "gaussian", config=FitConfig(n_starts=2))
+        row = report.rows[2]
+        assert row.fit is None and not row.eligible
+        assert row.error == "need at least 6 rows to initialize g=3, have 5"
+        assert report.g_hat < 3
 
     def test_degenerate_fits_not_selectable(self):
         report = SelectionReport(
