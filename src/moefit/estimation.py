@@ -246,7 +246,9 @@ def gating_curvature_hessian(data: Dataset, theta: MoeParams, z: int) -> np.ndar
 
 
 def variance_floor(data: Dataset) -> float:
-    v = float(np.var(data.y.astype(float)))
+    # np.var's sums, bit for bit, without its call overhead (read every cycle)
+    dev = data.y - np.add.reduce(data.y) / data.n
+    v = float(np.add.reduce(dev * dev)) / data.n
     return VARIANCE_FLOOR_FACTOR * max(v, np.finfo(float).tiny)
 
 
@@ -260,22 +262,21 @@ def _check_starvation(W: np.ndarray, n: int) -> None:
         )
 
 
-def gaussian_expert_block_update(data: Dataset, theta: MoeParams,
-                                 floor: float, W: np.ndarray):
+def gaussian_expert_block_update(data: Dataset, theta: MoeParams, W: np.ndarray,
+                                 config: FitConfig | None = None):
     """Closed-form weighted LS update of all gaussian expert blocks, with the
-    component-major responsibilities ``W`` (g, n) as weights.
+    component-major weights ``W`` (g, n); the exact update needs no config.
 
-    Returns (beta, sigma2, floored) where ``floored`` marks variance-floored
-    components.
+    Returns (beta, sigma2, floored) where ``floored`` marks the components
+    whose variance was raised to ``variance_floor(data)``.
     """
-    if theta.family != "gaussian":
-        raise EstimationError("gaussian update requires gaussian experts")
     _check_starvation(W, data.n)
     Dt = add_intercept(theta.design.matrix(data.X))
     beta, sigma2, ok = _weighted_least_squares(Dt, data.y, W)
     if not ok.all():
         z = int(np.flatnonzero(~ok)[0])
         raise _rank_deficient(f"weighted Gram matrix of component {z + 1}")
+    floor = variance_floor(data)
     floored = sigma2 < floor
     return beta, np.where(floored, floor, sigma2), floored
 
@@ -375,17 +376,17 @@ def _weighted_glm_fit(glm: _GlmData, W: np.ndarray, beta0: np.ndarray,
     return beta, capped
 
 
-def glm_expert_block_update(data: Dataset, theta: MoeParams,
-                            config: FitConfig, W: np.ndarray):
-    """Update all GLM expert blocks, with the component-major
-    responsibilities ``W`` (g, n) as weights; returns (beta, any_capped)."""
-    if theta.family == "gaussian":
-        raise EstimationError("use gaussian_expert_block_update for gaussian experts")
+def glm_expert_block_update(data: Dataset, theta: MoeParams, W: np.ndarray,
+                            config: FitConfig | None = None):
+    """Newton update (``config.irls_max_inner`` steps at most) of all GLM
+    expert blocks, with the component-major weights ``W`` (g, n); returns
+    (beta, None, capped), ``capped`` marking experts clipped at GLM_COEF_CAP."""
     _check_starvation(W, data.n)
     glm = _GlmData.build(theta.family, add_intercept(theta.design.matrix(data.X)),
                          data.y, theta.K)
-    beta, capped = _weighted_glm_fit(glm, W, theta.beta, config.irls_max_inner)
-    return beta, bool(capped.any())
+    beta, capped = _weighted_glm_fit(glm, W, theta.beta,
+                                     (config or FitConfig()).irls_max_inner)
+    return beta, None, capped
 
 
 def _joint(JS: np.ndarray, L: np.ndarray):
@@ -417,6 +418,9 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     in for their one-step Newton expert block.  Gaussian fits sweep again
     only while the last sweep gained more Q_n than the previous cycle's
     expert block (0 in cycle 1), up to GATING_ROUNDS sweeps.
+
+    The family's expert block is looked up when ``fit`` runs, so a wrapper
+    set on its module name sees every call; one ascent guard serves both.
     """
     config = config or FitConfig()
     check_compatible(data, init)
@@ -424,7 +428,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     g = theta.g
     M = _gating_step_matrix(data) if g > 1 else None
     gaussian = theta.family == "gaussian"
-    floor = variance_floor(data) if gaussian else 0.0
+    block = gaussian_expert_block_update if gaussian else glm_expert_block_update
     Xt = add_intercept(data.X)
     L = np.ascontiguousarray(expert_log_density_matrix(data, theta).T)
     JS = np.empty((2, g, data.n))
@@ -462,19 +466,16 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
                 if gaussian and sweep_gain <= expert_gain:
                     break
             tau, q_cur = _joint(JS, L)
-            old_beta, old_L = theta.beta, L
-            if gaussian:
-                theta.beta, theta.sigma2, floored = gaussian_expert_block_update(
-                    data, theta, floor, tau)
-                degenerate = bool(floored.any())
-            else:
-                theta.beta, _ = glm_expert_block_update(data, theta, config, tau)
+            old = theta.beta, theta.sigma2, L
+            theta.beta, theta.sigma2, flagged = block(data, theta, tau, config)
             L = np.ascontiguousarray(expert_log_density_matrix(data, theta).T)
             tau, q_new = _joint(JS, L)
-            # ascent guard: a capped/aborted GLM inner solve must not lose ground
-            if not gaussian and q_new < q_cur - 1e-10 * (1.0 + abs(q_cur)):
-                theta.beta, L = old_beta, old_L
+            # ascent guard: a capped or stalled Newton solve must not lose ground
+            if q_new < q_cur - 1e-10 * (1.0 + abs(q_cur)):
+                theta.beta, theta.sigma2, L = old
                 tau, q_new = _joint(JS, L)
+            else:
+                degenerate = gaussian and bool(flagged.any())
             expert_gain = q_new - q_cur
         except EstimationError as err:
             raise type(err)(f"cycle {cycle}: {err}") from err
@@ -526,50 +527,48 @@ def _random_hard_partition(data: Dataset, g: int,
 
 def _check_init_rows(data: Dataset, g: int, design: ExpertDesign) -> None:
     """Raise InfeasibleInitError when the data have too few rows to fit each
-    of g experts to its own group."""
+    of g experts to its own group, or when the expert design, or for g > 1
+    the gating design, has dependent columns once the intercept is added."""
     need = g * (design.width(data.p) + 1)
     if data.n < need:
         raise InfeasibleInitError(
             f"need at least {need} rows to initialize g={g}, have {data.n}")
+    for name, D in (("expert", design.matrix(data.X)), ("gating", data.X))[:1 + (g > 1)]:
+        if np.linalg.matrix_rank(add_intercept(D)) <= D.shape[1]:
+            raise InfeasibleInitError(f"{name} design is rank-deficient: "
+                                      "constant or collinear covariate columns")
 
 
 def initialize(data: Dataset, g: int, family: str, design: ExpertDesign,
                seed: int, config: FitConfig | None = None) -> MoeParams:
-    """Seeded initialization from a random hard partition of the rows.
+    """Seeded start: the expert block on a random hard partition of the rows.
 
-    Each expert is fit to its partition group with hard weights and the
-    gating starts uniform (all zeros).  g=1 is deterministic.
+    From uniform gating (all zeros), zero coefficients and unit variances,
+    the family's expert block fits each expert to its own group.  If a
+    gaussian group's Gram matrix is singular, every group gets a 1e-8 ridge
+    instead.  g=1 is deterministic.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
-    config = config or FitConfig()
     _check_init_rows(data, g, design)
+    fam = expert_family(family)
+    K = data.K if fam.multiclass else None
     d = design.width(data.p)
-    rng = np.random.default_rng(seed)
-    labels = _random_hard_partition(data, g, rng)
-    Dt = add_intercept(design.matrix(data.X))
-    K = data.K if expert_family(family).multiclass else None
-    beta = np.zeros((g, d + 1) if K is None else (g, K, d + 1))
-    sigma2 = None
-    # hard 0/1 weights: every expert is fit to its own group
+    theta = MoeParams(family=family, gating=np.zeros((g, data.p + 1)),
+                      beta=np.zeros((g, d + 1) if K is None else (g, K, d + 1)),
+                      design=design, sigma2=np.ones(g) if fam.dispersion else None, K=K)
+    labels = _random_hard_partition(data, g, np.random.default_rng(seed))
     W = (labels[None, :] == np.arange(g)[:, None]).astype(float)
-    if family != "gaussian":
-        # all GLM experts at once
-        glm = _GlmData.build(family, Dt, data.y, K)
-        beta, _ = _weighted_glm_fit(glm, W, beta, config.irls_max_inner)
-    else:
-        beta, sigma2, ok = _weighted_least_squares(Dt, data.y, W)
+    block = gaussian_expert_block_update if fam.dispersion else glm_expert_block_update
+    try:
+        theta.beta, theta.sigma2, _ = block(data, theta, W, config)
+    except RankDeficientError:
+        beta, sigma2, ok = _weighted_least_squares(
+            add_intercept(design.matrix(data.X)), data.y, W, ridge=1e-8)
         if not ok.all():
-            # a singular group's Gram matrix gets a small ridge
-            bad = ~ok
-            beta[bad], sigma2[bad], ok = _weighted_least_squares(
-                Dt, data.y, W[bad], ridge=1e-8)
-            if not ok.all():
-                raise _rank_deficient("ridged init Gram")
-        sigma2 = np.maximum(sigma2, variance_floor(data))
-    gating = np.zeros((g, data.p + 1))
-    return MoeParams(family=family, gating=gating, beta=beta, design=design,
-                     sigma2=sigma2, K=K)
+            raise _rank_deficient("ridged init Gram")
+        theta.beta, theta.sigma2 = beta, np.maximum(sigma2, variance_floor(data))
+    return theta
 
 
 def multi_start_fit(data: Dataset, g: int, family: str,
@@ -586,8 +585,8 @@ def multi_start_fit(data: Dataset, g: int, family: str,
     log-quasi-likelihood, ties broken toward the lowest start index; the merge
     is deterministic regardless of how many threads ran the starts, and it
     carries the failure messages of the other starts in ``failed_starts``.
-    Data with too few rows for ``initialize`` raise one InfeasibleInitError
-    before any start runs.
+    Data with too few rows for ``initialize``, or a rank-deficient design,
+    raise one InfeasibleInitError before any start runs.
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")

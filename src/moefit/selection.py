@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import EstimationError, FitConfig, FitResult, multi_start_fit
+from .estimation import (EstimationError, FitConfig, FitResult, _check_init_rows,
+                         multi_start_fit)
 from .model import Dataset, ExpertDesign, expert_family
 
 
@@ -73,12 +74,15 @@ def select_g(data: Dataset, G: int, family: str,
     """Fit g = 1..G with multi-start and pick the smallest g at minimal BIC.
 
     Degenerate (variance-floored) and non-converged fits appear in the report
-    but are never selectable.
+    but are never selectable.  A rank-deficient expert design fails every g,
+    so it raises InfeasibleInitError before any fit; a rank-deficient gating
+    design fails only g >= 2.
     """
     if G < 1:
         raise ValueError("G must be >= 1")
     design = design or ExpertDesign()
     config = config or FitConfig()
+    _check_init_rows(data, 1, design)
     rows = []
     for g in range(1, G + 1):
         dim = param_count(g, data.p, family, design, data.K)

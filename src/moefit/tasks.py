@@ -5,8 +5,6 @@ All argmax rules break ties toward the smallest index.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .model import (
@@ -56,12 +54,10 @@ def predict_mean(x: np.ndarray, theta: MoeParams) -> float:
 
 
 def predict_variance_rows(X: np.ndarray, theta: MoeParams) -> np.ndarray:
+    """Gate-weighted variance of the response by the law of total variance,
+    sum_z pi_z (sigma2_z + (mu_z - m)^2) with m the mean: a sum of
+    non-negative terms, with no cancellation between large moments."""
     gates = np.exp(gate_log_probs(X, theta.gating))
     mu = _component_means(X, theta)
-    second = np.sum(gates * (mu ** 2 + theta.sigma2[None, :]), axis=1)
-    var = second - np.sum(gates * mu, axis=1) ** 2
-    tiny_neg = (var < 0) & (var > -1e-12)
-    if np.any(tiny_neg):
-        warnings.warn("clamping tiny negative predicted variance to 0")
-        var = np.where(tiny_neg, 0.0, var)
-    return var
+    m = np.sum(gates * mu, axis=1, keepdims=True)
+    return np.sum(gates * (theta.sigma2[None, :] + (mu - m) ** 2), axis=1)

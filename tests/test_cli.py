@@ -239,6 +239,29 @@ class TestSelect:
         assert code == 2
 
 
+@pytest.mark.parametrize("column", ["collinear", "constant"])
+@pytest.mark.parametrize("command", [["fit", "--g", "1"], ["fit", "--g", "2"],
+                                     ["select", "--G", "3"]])
+def test_rank_deficient_covariates_exit_2_once(tmp_path, capsys, column, command):
+    # x2 = 2 x1, or x2 = 1 beside the intercept: the data cannot tell the
+    # coefficients apart, so no fit is written and every start is skipped
+    rng = np.random.default_rng(0)
+    x1 = rng.uniform(-2.0, 2.0, size=60)
+    x2 = 2.0 * x1 if column == "collinear" else np.ones(60)
+    y = 1.0 + 2.0 * x1 + 0.3 * rng.normal(size=60)
+    data = tmp_path / "d.csv"
+    data.write_text("x1,x2,y\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n"
+                                          for a, b, c in zip(x1, x2, y)))
+    out, table = tmp_path / "m.json", tmp_path / "bic.csv"
+    extra = ["--table", str(table)] if command[0] == "select" else []
+    code = run([command[0], "--data", str(data), "--family", "gaussian", *command[1:],
+                "--starts", "3", "--out", str(out), *extra])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: expert design is rank-deficient: "
+                                       "constant or collinear covariate columns\n")
+    assert not out.exists() and not table.exists()
+
+
 class TestPredict:
     def covariates_csv(self, tmp_path, xs):
         path = tmp_path / "x.csv"

@@ -1,17 +1,21 @@
 """Guards on what other code relies on: the names the benchmark traces exist,
-the benchmark's fit collector sees one ``fit`` call per start, and no module
-of the package imports a name it never uses."""
+the benchmark's fit collector sees one ``fit`` call per start, both expert
+blocks share one contract and are called once per start and cycle, and no
+module of the package imports a name it never uses."""
 
 import ast
 import importlib
+import inspect
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import moefit.estimation as estimation
 from moefit.datagen import gen_three_class
-from moefit.estimation import THREAD_MIN_ROWS, FitConfig, multi_start_fit
+from moefit.estimation import THREAD_MIN_ROWS, FitConfig, fit, initialize, multi_start_fit
+from moefit.model import Dataset, ExpertDesign
 from moefit.selection import select_g
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,6 +73,47 @@ def test_select_g_calls_fit_once_per_start_and_g(fit_calls):
     data = gen_three_class(200, seed=0)
     select_g(data, 2, "multinomial", config=FitConfig(n_starts=2, rel_tol=1e-3))
     assert [seed for seed, _ in fit_calls] == [0, 1, 0, 1]
+
+
+EXPERT_BLOCKS = ("gaussian_expert_block_update", "glm_expert_block_update")
+
+
+def test_expert_blocks_share_one_signature():
+    params = [list(inspect.signature(getattr(estimation, name)).parameters)
+              for name in EXPERT_BLOCKS]
+    assert params == [["data", "theta", "W", "config"]] * 2
+
+
+@pytest.mark.parametrize("family", ["gaussian", "multinomial"])
+def test_expert_block_called_once_by_initialize_and_once_per_cycle(monkeypatch, family):
+    """The benchmark's tracer wraps each block's module attribute and reads
+    its per-layer spans from the calls; ``initialize`` runs the block once
+    and a k-cycle ``fit`` k times."""
+    calls = {name: 0 for name in EXPERT_BLOCKS}
+
+    def counting(name):
+        original = getattr(estimation, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in EXPERT_BLOCKS:
+        monkeypatch.setattr(estimation, name, counting(name))
+    if family == "multinomial":
+        data = gen_three_class(200, seed=0)
+    else:
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-3.0, 3.0, size=200)
+        data = Dataset(x[:, None], np.where(x > 0, 2.0 * x, -x) + rng.normal(size=200),
+                       "real")
+    k = 4
+    config = FitConfig(max_cycles=k, rel_tol=1e-15, irls_max_inner=1)
+    result = fit(data, initialize(data, 2, family, ExpertDesign(), 0, config), config)
+    assert result.cycles_used == k
+    used = EXPERT_BLOCKS[family != "gaussian"]
+    assert calls == {name: (1 + k if name == used else 0) for name in EXPERT_BLOCKS}
 
 
 def unused_imports(path: Path) -> list[str]:

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import moefit.estimation as estimation
-from moefit.datagen import gen_moe_sample, gen_three_class, uniform_box_sampler
+from moefit.datagen import (
+    SignalSpec,
+    gen_moe_sample,
+    gen_switch_signal,
+    gen_three_class,
+    uniform_box_sampler,
+)
 from moefit.estimation import (
     GATING_ROUNDS,
     GATING_STEP_CAP,
@@ -284,7 +290,7 @@ class TestGaussianExpertBlockUpdate:
         data = Dataset(X, y, "real")
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 3)),
                           beta=np.zeros((1, 3)), sigma2=np.array([1.0]))
-        beta, sigma2, floored = gaussian_expert_block_update(data, theta, 1e-12,
+        beta, sigma2, floored = gaussian_expert_block_update(data, theta,
                                                              np.ones((1, 50)))
         Xt = np.column_stack([np.ones(50), X])
         bols = np.linalg.lstsq(Xt, y, rcond=None)[0]
@@ -298,11 +304,10 @@ class TestGaussianExpertBlockUpdate:
         data = Dataset(X, y, "real")
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)), sigma2=np.array([1.0]))
-        floor = variance_floor(data)
-        beta, sigma2, floored = gaussian_expert_block_update(data, theta, floor,
+        beta, sigma2, floored = gaussian_expert_block_update(data, theta,
                                                              np.ones((1, 10)))
         assert np.allclose(beta[0], [1.0, 2.0], atol=1e-10)
-        assert sigma2[0] == floor
+        assert sigma2[0] == variance_floor(data)
         assert floored[0]
 
     def test_constant_weights_cancel(self):
@@ -312,10 +317,8 @@ class TestGaussianExpertBlockUpdate:
         data = Dataset(X, y, "real")
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)), sigma2=np.array([1.0]))
-        b1, _, _ = gaussian_expert_block_update(data, theta, 1e-12,
-                                                np.ones((1, 30)))
-        b2, _, _ = gaussian_expert_block_update(data, theta, 1e-12,
-                                                np.full((1, 30), 0.37))
+        b1, _, _ = gaussian_expert_block_update(data, theta, np.ones((1, 30)))
+        b2, _, _ = gaussian_expert_block_update(data, theta, np.full((1, 30), 0.37))
         assert np.allclose(b1, b2, atol=1e-10)
 
     def test_batched_matches_component_loop(self):
@@ -343,7 +346,7 @@ class TestGaussianExpertBlockUpdate:
         theta = MoeParams(family="gaussian", gating=np.zeros((2, 2)),
                           beta=np.zeros((2, 2)), sigma2=np.ones(2))
         with pytest.raises(RankDeficientError, match="component 2"):
-            gaussian_expert_block_update(data, theta, 1e-12, W)
+            gaussian_expert_block_update(data, theta, W)
         Dt = add_intercept(X)
         beta, _, ok = _weighted_least_squares(Dt, data.y, W)
         assert ok.tolist() == [True, False]
@@ -356,7 +359,7 @@ class TestGaussianExpertBlockUpdate:
         W = np.zeros((2, 10))
         W[0] = 1.0
         with pytest.raises(EmptyComponentError):
-            gaussian_expert_block_update(data, theta, 1e-12, W)
+            gaussian_expert_block_update(data, theta, W)
 
 
 class TestGlmExpertBlockUpdate:
@@ -364,7 +367,7 @@ class TestGlmExpertBlockUpdate:
         data = Dataset(np.zeros((10, 0)), np.array([0, 1] * 5), "binary")
         theta = MoeParams(family="logistic", gating=np.zeros((1, 1)),
                           beta=np.array([[0.5]]))
-        beta, _ = glm_expert_block_update(data, theta, FitConfig(), np.ones((1, 10)))
+        beta, _, _ = glm_expert_block_update(data, theta, np.ones((1, 10)))
         assert beta[0, 0] == pytest.approx(0.0, abs=1e-8)
 
     def test_poisson_intercept_log_mean(self):
@@ -372,7 +375,7 @@ class TestGlmExpertBlockUpdate:
         data = Dataset(np.zeros((6, 0)), y, "count")
         theta = MoeParams(family="poisson", gating=np.zeros((1, 1)),
                           beta=np.array([[0.0]]))
-        beta, _ = glm_expert_block_update(data, theta, FitConfig(), np.ones((1, 6)))
+        beta, _, _ = glm_expert_block_update(data, theta, np.ones((1, 6)))
         assert beta[0, 0] == pytest.approx(np.log(y.mean()), abs=1e-8)
 
     def test_random_instance_ascent(self, family="logistic"):
@@ -395,7 +398,7 @@ class TestGlmExpertBlockUpdate:
                            rng.integers(1, 4, size=60), "categorical", K=3)
         q_before = log_quasi_likelihood(data, theta)
         tau = responsibilities(data, theta)
-        beta, _ = glm_expert_block_update(data, theta, FitConfig(), tau.T)
+        beta, _, _ = glm_expert_block_update(data, theta, tau.T, FitConfig())
         after = theta.copy()
         after.beta = beta
         q_after = log_quasi_likelihood(data, after)
@@ -410,8 +413,8 @@ class TestGlmExpertBlockUpdate:
                 1 + abs(w @ ll_before[:, z]))
             solo = MoeParams(family=family, gating=np.zeros((1, 2)),
                              beta=theta.beta[z:z + 1], K=theta.K)
-            beta_z, _ = glm_expert_block_update(data, solo, FitConfig(),
-                                                w[None, :])
+            beta_z, _, _ = glm_expert_block_update(data, solo, w[None, :],
+                                                   FitConfig())
             assert np.allclose(beta_z[0], beta[z], rtol=1e-10, atol=1e-12)
 
     def test_random_instance_ascent_multinomial(self):
@@ -518,9 +521,9 @@ class TestGlmExpertBlockUpdate:
         data = Dataset(X, y, "binary")
         theta = MoeParams(family="logistic", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)))
-        beta, capped = glm_expert_block_update(
-            data, theta, FitConfig(irls_max_inner=200), np.ones((1, 20)))
-        assert capped
+        beta, sigma2, capped = glm_expert_block_update(
+            data, theta, np.ones((1, 20)), FitConfig(irls_max_inner=200))
+        assert sigma2 is None and capped.tolist() == [True]
         assert np.max(np.abs(beta)) <= 30.0 + 1e-12
 
 
@@ -577,7 +580,8 @@ class TestFit:
     def sweeps_per_cycle(monkeypatch):
         """Count the gating-row updates of each cycle of the fits this test
         runs: ``gating_line`` prices one row update, and the expert block
-        closes the cycle."""
+        closes the cycle.  ``initialize`` runs the expert block too, so
+        build the start before installing the counter."""
         counts = [0]
 
         def counted(fn, close):
@@ -602,11 +606,11 @@ class TestFit:
 
     def test_glm_fit_sweeps_gating_rounds_every_cycle(self, monkeypatch):
         g = 3
-        counts = self.sweeps_per_cycle(monkeypatch)
         data = two_component_sample("multinomial", 300, seed=3)
         config = FitConfig(max_cycles=40, irls_max_inner=1)
-        result = fit(data, initialize(data, g, "multinomial", ExpertDesign(), 0, config),
-                     config)
+        init = initialize(data, g, "multinomial", ExpertDesign(), 0, config)
+        counts = self.sweeps_per_cycle(monkeypatch)
+        result = fit(data, init, config)
         # the last entry is the empty count opened by the final expert block
         assert counts[-1] == 0 and len(counts) == result.cycles_used + 1
         assert counts[:-1] == [GATING_ROUNDS * (g - 1)] * result.cycles_used
@@ -614,11 +618,11 @@ class TestFit:
 
     def test_gaussian_fit_sweeps_less_after_cycle_one(self, monkeypatch):
         g = 2
-        counts = self.sweeps_per_cycle(monkeypatch)
         data = two_component_sample("gaussian", 300, seed=3)
         config = FitConfig(max_cycles=200, rel_tol=1e-12)
-        result = fit(data, initialize(data, g, "gaussian", ExpertDesign(), 0, config),
-                     config)
+        init = initialize(data, g, "gaussian", ExpertDesign(), 0, config)
+        counts = self.sweeps_per_cycle(monkeypatch)
+        result = fit(data, init, config)
         sweeps = counts[:-1]
         assert len(sweeps) == result.cycles_used > 10
         # the first cycle knows no expert gain yet and sweeps GATING_ROUNDS
@@ -689,6 +693,49 @@ class TestInitialize:
         data = Dataset(np.zeros((3, 1)), np.zeros(3), "real")
         with pytest.raises(InfeasibleInitError):
             initialize(data, 2, "gaussian", ExpertDesign(), 0)
+
+    def test_singular_group_gets_ridged(self, monkeypatch):
+        # the data of test_singular_component_named: group 2 holds the four
+        # rows that share x = 0.5, so its Gram matrix is singular
+        X = np.concatenate([np.linspace(-1.0, 1.0, 8), np.full(4, 0.5)])[:, None]
+        data = Dataset(X, np.arange(12.0), "real")
+        labels = np.repeat([0, 1], [8, 4])
+        monkeypatch.setattr(estimation, "_random_hard_partition",
+                            lambda data, g, rng: labels)
+        init = initialize(data, 2, "gaussian", ExpertDesign(), 0)
+        assert np.all(np.isfinite(init.beta)) and np.all(np.isfinite(init.sigma2))
+        assert np.all(init.sigma2 >= variance_floor(data))
+        W = (labels == 0).astype(float)[None, :]
+        plain, _, ok = _weighted_least_squares(add_intercept(X), data.y, W)
+        assert ok.all()
+        assert np.allclose(init.beta[0], plain[0], rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("g", [1, 2])
+    @pytest.mark.parametrize("column", ["collinear", "constant"])
+    def test_rank_deficient_design_raises(self, g, column):
+        rng = np.random.default_rng(34)
+        x1 = rng.normal(size=60)
+        x2 = 2.0 * x1 if column == "collinear" else np.ones(60)
+        data = Dataset(np.column_stack([x1, x2]), rng.normal(size=60), "real")
+        with pytest.raises(InfeasibleInitError, match="expert design is rank-deficient"):
+            initialize(data, g, "gaussian", ExpertDesign(), 0)
+        # a poly design on x1 alone is full rank; only the gate sees x2
+        poly = ExpertDesign("poly", 2)
+        if g == 1:
+            assert initialize(data, g, "gaussian", poly, 0).g == 1
+        else:
+            with pytest.raises(InfeasibleInitError, match="gating design"):
+                initialize(data, g, "gaussian", poly, 0)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_full_rank_designs_pass_the_rank_check(self, scale):
+        rng = np.random.default_rng(35)
+        data = Dataset(scale * rng.uniform(-1.0, 1.0, size=(30, 8)),
+                       rng.normal(size=30), "real")
+        estimation._check_init_rows(data, 2, ExpertDesign())
+        estimation._check_init_rows(gen_three_class(200, seed=0), 3, ExpertDesign())
+        estimation._check_init_rows(gen_switch_signal(SignalSpec()), 5,
+                                    ExpertDesign("poly", 2))
 
 
 class TestMultiStart:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import moefit.estimation as estimation
+import moefit.selection as selection
 from moefit.datagen import gen_moe_sample, uniform_box_sampler
-from moefit.estimation import FitConfig
+from moefit.estimation import FitConfig, InfeasibleInitError
 from moefit.model import Dataset, ExpertDesign, MoeParams
 from moefit.selection import GFit, SelectionReport, bic, param_count, select_g
 
@@ -143,6 +145,29 @@ class TestSelectG:
         assert row.fit is None and not row.eligible
         assert row.error == "need at least 6 rows to initialize g=3, have 5"
         assert report.g_hat < 3
+
+    def test_rank_deficient_designs(self, monkeypatch):
+        # x2 = 2 x1: a raw expert design fails every g before any fit; a
+        # quadratic design in x1 fits, and only the gate (g >= 2) sees x2
+        rng = np.random.default_rng(5)
+        x1 = rng.uniform(-2.0, 2.0, size=80)
+        data = Dataset(np.column_stack([x1, 2.0 * x1]),
+                       1.0 + x1 - 0.5 * x1 ** 2 + 0.2 * rng.normal(size=80), "real")
+        starts = []
+        original = estimation.multi_start_fit
+
+        def counted(*args, **kwargs):
+            starts.append(args[1])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(selection, "multi_start_fit", counted)
+        with pytest.raises(InfeasibleInitError, match="expert design"):
+            select_g(data, 3, "gaussian", config=FitConfig(n_starts=2))
+        assert starts == []
+        report = select_g(data, 3, "gaussian", ExpertDesign("poly", 2),
+                          FitConfig(n_starts=2))
+        assert report.g_hat == 1 and starts == [1, 2, 3]
+        assert [r.eligible for r in report.rows] == [True, False, False]
+        assert all("gating design" in r.error for r in report.rows[1:])
 
     def test_degenerate_fits_not_selectable(self):
         report = SelectionReport(

@@ -204,6 +204,18 @@ class TestPredictVariance:
         X = np.linspace(-10, 10, 10_000)[:, None]
         assert np.all(predict_variance_rows(X, theta) >= 0)
 
+    def test_small_variance_under_large_means(self):
+        # means 1e5 and 1e5 + 1e-3 with variance 1e-9: E[y^2] - m^2 loses
+        # every digit of the answer to cancellation
+        theta = MoeParams(family="gaussian", gating=np.array([[0.0, 1.0], [0.0, 0.0]]),
+                          beta=np.array([[1e5, 0.0], [1e5 + 1e-3, 0.0]]),
+                          sigma2=np.array([1e-9, 1e-9]))
+        X = np.array([[-20.0], [-6.0], [-3.0], [-1.0], [0.0]])
+        pi = 1.0 / (1.0 + np.exp(-X[:, 0]))
+        gap = theta.beta[1, 0] - theta.beta[0, 0]
+        exact = 1e-9 + pi * (1.0 - pi) * gap ** 2
+        assert np.allclose(predict_variance_rows(X, theta), exact, rtol=1e-9, atol=0.0)
+
     def test_matches_monte_carlo_at_fixed_x(self):
         theta = MoeParams(
             family="gaussian",
