@@ -26,10 +26,11 @@ from .model import (
     expert_family,
     expert_log_density_matrix,
     gate_log_probs,
+    joint_scores,
     kron_gram,
     log_quasi_likelihood,
     logsumexp,
-    responsibilities,
+    posterior,
 )
 
 STARVATION_FACTOR = 1e-12
@@ -213,11 +214,12 @@ def _step_length(gain, factor: float, tol: float):
 
 
 def gating_block_update(data: Dataset, theta: MoeParams, z: int) -> np.ndarray:
-    """Curvature-bound update of gating block z (0-based, z < g-1)."""
+    """Curvature-bound update of gating block z (0-based, z < g-1): the
+    step that ``fit``'s sweep takes from ``theta`` at step factor 1."""
     if not 0 <= z < theta.g - 1:
         raise ValueError("gating block index must lie in [0, g-1)")
-    resid = responsibilities(data, theta)[:, z] - np.exp(
-        gate_log_probs(data.X, theta.gating))[:, z]
+    JS, _ = joint_scores(data, theta)
+    resid, _ = gating_line(JS, z, np.delete(np.arange(theta.g), z))
     return theta.gating[z] + _gating_step_matrix(data) @ (add_intercept(data.X).T @ resid)
 
 
@@ -228,13 +230,11 @@ def gating_surrogate_value(data: Dataset, theta: MoeParams, z: int,
     Equals the log-quasi-likelihood when alpha is the current block (anchor)
     and lies below it elsewhere; used by the minorization test suite.
     """
-    Xt = add_intercept(data.X)
-    H = Xt.T @ Xt
-    tau = responsibilities(data, theta)
-    gates = np.exp(gate_log_probs(data.X, theta.gating))
-    grad = Xt.T @ (tau[:, z] - gates[:, z])
+    JS, _ = joint_scores(data, theta)
+    resid, _ = gating_line(JS, z, np.delete(np.arange(theta.g), z))
     d = np.asarray(alpha, dtype=float) - theta.gating[z]
-    return log_quasi_likelihood(data, theta) + d @ grad - 0.125 * d @ H @ d
+    q = log_quasi_likelihood(data, theta)
+    return q + d @ (add_intercept(data.X).T @ resid) - 0.125 * d @ gating_gram(data) @ d
 
 
 def gating_curvature_hessian(data: Dataset, theta: MoeParams, z: int) -> np.ndarray:
@@ -390,13 +390,11 @@ def glm_expert_block_update(data: Dataset, theta: MoeParams, W: np.ndarray,
 
 
 def _joint(JS: np.ndarray, L: np.ndarray):
-    """Refresh the joint scores JS[0] = S + L from the gating scores JS[1]
-    and the cached expert log densities L, both (g, n); returns
-    (responsibilities (g, n), objective value)."""
+    """Refresh JS[0] = S + L from the gating scores JS[1] and the cached expert
+    log densities L (g, n); returns the posterior kernel's tau and Q_n."""
     np.add(JS[1], L, out=JS[0])
-    lse = logsumexp(JS, axis=1)
-    q = float(np.sum(lse[0] - lse[1]))
-    return np.exp(JS[0] - lse[0]), q
+    tau, rows = posterior(JS)
+    return tau, float(np.sum(rows))
 
 
 def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
@@ -405,9 +403,8 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
 
     Expert parameters are fixed during the gating sweep, so the expert
     log-density matrix is computed once per cycle and every gating update and
-    objective evaluation in the sweep reuses it.  Gating scores, expert log
-    densities and their sum are held component-major, (g, n), so every
-    log-sum-exp over components reduces across whole rows; the constant
+    objective evaluation in the sweep reuses it.  The sweep updates the
+    posterior kernel's component-major scores ``JS`` in place, and the constant
     gating Gram matrix is inverted once.  Each gating block steps along the
     curvature-bound direction; ``gating_line`` prices trial steps from the
     block's log-odds, and one rule, ``_step_length``, doubles the step while
@@ -430,10 +427,8 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     gaussian = theta.family == "gaussian"
     block = gaussian_expert_block_update if gaussian else glm_expert_block_update
     Xt = add_intercept(data.X)
-    L = np.ascontiguousarray(expert_log_density_matrix(data, theta).T)
-    JS = np.empty((2, g, data.n))
+    JS, L = joint_scores(data, theta)
     J, S = JS  # views: the joint and the gating scores
-    S[...] = (Xt @ theta.gating.T).T
     tau, q = _joint(JS, L)
     others = [np.delete(np.arange(g), z) for z in range(g - 1)]
     step_factor = np.ones(g - 1)
@@ -468,7 +463,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
             tau, q_cur = _joint(JS, L)
             old = theta.beta, theta.sigma2, L
             theta.beta, theta.sigma2, flagged = block(data, theta, tau, config)
-            L = np.ascontiguousarray(expert_log_density_matrix(data, theta).T)
+            L = expert_log_density_matrix(data, theta)
             tau, q_new = _joint(JS, L)
             # ascent guard: a capped or stalled Newton solve must not lose ground
             if q_new < q_cur - 1e-10 * (1.0 + abs(q_cur)):

@@ -25,6 +25,7 @@ from .model import (
     kron_gram,
     responsibilities,
 )
+from .tasks import gate_means
 
 
 class InferenceError(RuntimeError):
@@ -194,10 +195,8 @@ def mean_ci_rows(X: np.ndarray, theta: MoeParams, cov: np.ndarray,
         raise ValueError("level must lie in (0, 1)")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
-    gates = np.exp(gate_log_probs(X, theta.gating))
+    gates, mu, m = gate_means(X, theta)
     Dt = add_intercept(theta.design.matrix(X))
-    mu = Dt @ theta.beta.T  # (n, g)
-    m = np.sum(gates * mu, axis=1)
     dgate = (gates * (mu - m[:, None]))[:, :-1, None] * add_intercept(X)[:, None, :]
     dbeta = np.pad(gates[:, :, None] * Dt[:, None, :], ((0, 0), (0, 0), (0, 1)))
     grad = np.concatenate(

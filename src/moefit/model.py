@@ -1,9 +1,9 @@
 """Core model evaluations for soft-max gated mixture-of-experts models.
 
 Everything here is a pure function of immutable inputs: gating probabilities,
-expert log densities, the mixture log density, the log-quasi-likelihood, and
-component responsibilities.  All density work happens in log space with
-max-subtraction stabilization so that large linear predictors never overflow.
+expert log densities and, through the one posterior kernel ``posterior``, the
+mixture log density, the log-quasi-likelihood and the responsibilities.  All
+density work happens in log space with max-subtraction stabilization.
 ``EXPERT_FAMILIES`` is the one table of family-specific kernels and layouts.
 """
 
@@ -31,15 +31,9 @@ def logsumexp(a: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 def softmax(a: np.ndarray, axis: int) -> np.ndarray:
-    """Max-stabilized softmax of ``a`` along ``axis``."""
+    """Max-stabilized softmax along ``axis``: the multinomial inverse link."""
     e = np.exp(a - a.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(a: np.ndarray, axis: int) -> np.ndarray:
-    """Max-stabilized log-softmax of ``a`` along ``axis``."""
-    shifted = a - a.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -351,25 +345,37 @@ def gate_log_probs(X: np.ndarray, gating: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(Xt)):
         raise ModelError("covariates must be finite")
-    return log_softmax(Xt @ gating.T, axis=-1)
+    S = Xt @ gating.T
+    return S - logsumexp(S, axis=1)[:, None]
 
 
 def expert_log_density_matrix(data: Dataset, theta: MoeParams) -> np.ndarray:
-    """Per-row, per-component expert log densities, shape (n, g)."""
+    """Per-component, per-row expert log densities, shape (g, n), C order."""
     check_compatible(data, theta)
     Dt = add_intercept(theta.design.matrix(data.X))
     ll = expert_family(theta.family).log_density(theta.beta @ Dt.T, data.y, theta.sigma2)
-    return np.ascontiguousarray(ll.T)
+    return np.ascontiguousarray(ll)
 
 
-def _joint_log_density(data: Dataset, theta: MoeParams) -> np.ndarray:
-    """log gate + log expert per row and component, shape (n, g)."""
-    return gate_log_probs(data.X, theta.gating) + expert_log_density_matrix(data, theta)
+def joint_scores(data: Dataset, theta: MoeParams):
+    """JS (2, g, n), the joint scores J = S + L over the gating scores S at
+    ``theta``, and the expert log densities L (g, n)."""
+    L = expert_log_density_matrix(data, theta)
+    S = (add_intercept(data.X) @ theta.gating.T).T
+    return np.stack([S + L, S]), L
+
+
+def posterior(JS: np.ndarray):
+    """The one posterior kernel: from JS (2, g, n), the responsibilities
+    exp(J - lse J) (g, n) and the per-row mixture log densities lse J - lse S
+    (n,), one log-sum-exp over components for both."""
+    lse = logsumexp(JS, axis=1)
+    return np.exp(JS[0] - lse[0]), lse[0] - lse[1]
 
 
 def moe_log_density_rows(data: Dataset, theta: MoeParams) -> np.ndarray:
     """Per-row mixture log densities, shape (n,)."""
-    return logsumexp(_joint_log_density(data, theta), axis=1)
+    return posterior(joint_scores(data, theta)[0])[1]
 
 
 def moe_log_density(y, x: np.ndarray, theta: MoeParams) -> float:
@@ -384,7 +390,7 @@ def log_quasi_likelihood(data: Dataset, theta: MoeParams) -> float:
 
 def responsibilities(data: Dataset, theta: MoeParams) -> np.ndarray:
     """Posterior component probabilities per row, shape (n, g), row-stochastic."""
-    return softmax(_joint_log_density(data, theta), axis=1)
+    return posterior(joint_scores(data, theta)[0])[0].T
 
 
 def permute_components(theta: MoeParams, perm) -> MoeParams:

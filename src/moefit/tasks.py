@@ -12,7 +12,6 @@ from .model import (
     MoeParams,
     add_intercept,
     gate_log_probs,
-    log_softmax,
     logsumexp,
 )
 
@@ -25,8 +24,8 @@ def class_posteriors(X: np.ndarray, theta: MoeParams) -> np.ndarray:
     lg = gate_log_probs(X, theta.gating)  # (n, g)
     Dt = add_intercept(theta.design.matrix(X))
     scores = np.einsum("nd,gkd->ngk", Dt, theta.beta)
-    joint = lg[:, :, None] + log_softmax(scores, axis=2)  # (n, g, K)
-    post = np.exp(logsumexp(joint, axis=1))
+    scores -= logsumexp(scores, axis=2)[:, :, None]  # log class probabilities
+    post = np.exp(logsumexp(lg[:, :, None] + scores, axis=1))  # (n, K)
     return post / post.sum(axis=1, keepdims=True)
 
 
@@ -36,16 +35,18 @@ def gate_labels(X: np.ndarray, theta: MoeParams) -> np.ndarray:
     return np.argmax(gates, axis=1) + 1
 
 
-def _component_means(X: np.ndarray, theta: MoeParams) -> np.ndarray:
+def gate_means(X: np.ndarray, theta: MoeParams):
+    """Gates pi (n, g), component means mu (n, g) and the gate-weighted mean
+    m = sum_z pi_z mu_z (n,) of a gaussian-expert model at the rows of X."""
     if theta.family != "gaussian":
         raise ModelError("regression functionals require gaussian experts")
-    Dt = add_intercept(theta.design.matrix(X))
-    return Dt @ theta.beta.T  # (n, g)
+    gates = np.exp(gate_log_probs(X, theta.gating))
+    mu = add_intercept(theta.design.matrix(X)) @ theta.beta.T
+    return gates, mu, np.sum(gates * mu, axis=1)
 
 
 def predict_mean_rows(X: np.ndarray, theta: MoeParams) -> np.ndarray:
-    gates = np.exp(gate_log_probs(X, theta.gating))
-    return np.sum(gates * _component_means(X, theta), axis=1)
+    return gate_means(X, theta)[2]
 
 
 def predict_mean(x: np.ndarray, theta: MoeParams) -> float:
@@ -57,7 +58,5 @@ def predict_variance_rows(X: np.ndarray, theta: MoeParams) -> np.ndarray:
     """Gate-weighted variance of the response by the law of total variance,
     sum_z pi_z (sigma2_z + (mu_z - m)^2) with m the mean: a sum of
     non-negative terms, with no cancellation between large moments."""
-    gates = np.exp(gate_log_probs(X, theta.gating))
-    mu = _component_means(X, theta)
-    m = np.sum(gates * mu, axis=1, keepdims=True)
-    return np.sum(gates * (theta.sigma2[None, :] + (mu - m) ** 2), axis=1)
+    gates, mu, m = gate_means(X, theta)
+    return np.sum(gates * (theta.sigma2[None, :] + (mu - m[:, None]) ** 2), axis=1)

@@ -50,6 +50,8 @@ from moefit.model import (
 from moefit.selection import param_count, select_g
 from moefit.tasks import class_posteriors, gate_labels
 
+pytestmark = pytest.mark.acceptance
+
 # every fixture appends the Q_n traces of the fits it runs (criterion 2)
 ALL_TRACES: list[np.ndarray] = []
 

@@ -169,6 +169,24 @@ class TestGatingBlockUpdate:
         with pytest.raises(EmptyComponentError, match="cycle 1: component"):
             fit(data, init)
 
+    @pytest.mark.parametrize("family", list(PINNED_SHORT_FITS))
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_equals_first_row_fit_takes(self, monkeypatch, family, g):
+        # fit accepts its first gating step at factor 1 and rejects the rest
+        data = short_fit_sample(family)
+        init = initialize(data, g, family, ExpertDesign(), seed=0)
+        init.gating[:-1] = np.random.default_rng(g).normal(size=(g - 1, data.p + 1))
+        calls = []
+
+        def first_step_only(gain, factor, tol):
+            calls.append(factor)
+            return (1.0, gain(1.0)) if len(calls) == 1 else (0.0, 0.0)
+
+        monkeypatch.setattr(estimation, "_step_length", first_step_only)
+        result = fit(data, init, FitConfig(max_cycles=1))
+        assert np.array_equal(result.theta.gating[0], gating_block_update(data, init, 0))
+        assert np.array_equal(result.theta.gating[1:], init.gating[1:])
+
     def test_block_index_range_checked(self):
         data, theta = random_gaussian_instance(0)
         with pytest.raises(ValueError):
@@ -196,7 +214,7 @@ class TestGatingLine:
             theta.gating *= scale
             Xt = add_intercept(data.X)
             S = theta.gating @ Xt.T
-            JS = np.stack([S + expert_log_density_matrix(data, theta).T, S])
+            JS = np.stack([S + expert_log_density_matrix(data, theta), S])
             q = log_quasi_likelihood(data, theta)
             tau = responsibilities(data, theta)
             gates = np.exp(gate_log_probs(data.X, theta.gating))
@@ -409,8 +427,8 @@ class TestGlmExpertBlockUpdate:
         ll_after = expert_log_density_matrix(data, after)
         for z in range(g):
             w = tau[:, z]
-            assert w @ ll_after[:, z] >= w @ ll_before[:, z] - 1e-10 * (
-                1 + abs(w @ ll_before[:, z]))
+            assert w @ ll_after[z] >= w @ ll_before[z] - 1e-10 * (
+                1 + abs(w @ ll_before[z]))
             solo = MoeParams(family=family, gating=np.zeros((1, 2)),
                              beta=theta.beta[z:z + 1], K=theta.K)
             beta_z, _, _ = glm_expert_block_update(data, solo, w[None, :],
@@ -575,6 +593,16 @@ class TestFit:
         result = fit(data, init, FitConfig(max_cycles=3))
         assert np.allclose(result.q_trace, PINNED_SHORT_FITS[family],
                            rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("family", list(PINNED_SHORT_FITS))
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_trace_starts_at_log_quasi_likelihood(self, family, g):
+        # fit and log_quasi_likelihood share one posterior kernel
+        data = short_fit_sample(family)
+        init = initialize(data, g, family, ExpertDesign(), seed=0)
+        init.gating[:-1] = np.random.default_rng(g).normal(size=(g - 1, data.p + 1))
+        result = fit(data, init, FitConfig(max_cycles=1))
+        assert result.q_trace[0] == log_quasi_likelihood(data, init)
 
     @staticmethod
     def sweeps_per_cycle(monkeypatch):

@@ -361,6 +361,25 @@ class TestFamilyTable:
         assert np.shares_memory(free, beta)
         assert fam.expert_dim(d, K) == free[0].size + fam.dispersion
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_density_matrix_is_component_major(self, family):
+        # the posterior kernel reads whole component rows: (g, n), C order
+        rng = np.random.default_rng(FAMILIES.index(family))
+        fam = EXPERT_FAMILIES[family]
+        g, n, K = 3, 7, 4
+        y = {"real": rng.normal(size=n), "binary": rng.integers(0, 2, size=n),
+             "count": rng.poisson(2.0, size=n),
+             "categorical": rng.integers(1, K + 1, size=n)}[fam.kind]
+        data = Dataset(rng.normal(size=(n, 1)), y, fam.kind,
+                       K=K if fam.multiclass else None)
+        theta = MoeParams(family=family, gating=np.zeros((g, 2)),
+                          beta=rng.normal(size=(g, K, 2) if fam.multiclass else (g, 2)),
+                          sigma2=np.ones(g) if fam.dispersion else None,
+                          K=K if fam.multiclass else None)
+        L = expert_log_density_matrix(data, theta)
+        assert L.shape == (g, n)
+        assert L.flags.c_contiguous
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ModelError, match="unknown expert family"):
             MoeParams(family="gamma", gating=np.zeros((1, 2)),
