@@ -232,9 +232,9 @@ def gating_surrogate_value(data: Dataset, theta: MoeParams, z: int,
     """
     JS, _ = joint_scores(data, theta)
     resid, _ = gating_line(JS, z, np.delete(np.arange(theta.g), z))
+    grad = add_intercept(data.X).T @ resid
     d = np.asarray(alpha, dtype=float) - theta.gating[z]
-    q = log_quasi_likelihood(data, theta)
-    return q + d @ (add_intercept(data.X).T @ resid) - 0.125 * d @ gating_gram(data) @ d
+    return log_quasi_likelihood(data, theta) + d @ grad - 0.125 * d @ gating_gram(data) @ d
 
 
 def gating_curvature_hessian(data: Dataset, theta: MoeParams, z: int) -> np.ndarray:
