@@ -99,7 +99,8 @@ def _save_fit(args, result, data, design) -> None:
     covariance = None
     if args.with_covariance:
         sw = sandwich_covariance(data, result.theta)
-        covariance = {"order": sw.labels, "matrix": sw.cov.tolist()}
+        covariance = {"order": sw.labels, "matrix": sw.cov.tolist(),
+                      "condition": sw.condition}
     io.save_model(args.out, result.theta, meta, covariance)
 
 
@@ -249,6 +250,8 @@ def cmd_summarize(args) -> int:
               f"n={f['n']}  cycles={f['cycles']}  converged={f['converged']}  "
               f"degenerate={f['degenerate']}  seed={f['seed']}")
     if "covariance" in doc:
+        if "condition" in doc["covariance"]:
+            print(f"bread condition number={doc['covariance']['condition']:.3e}")
         ses = standard_errors(np.asarray(doc["covariance"]["matrix"]))
         for label, se in zip(doc["covariance"]["order"], ses):
             print(f"  se[{label}] = {se:.6g}")

@@ -1,11 +1,11 @@
 """Blockwise minorization-maximization fitting of MoE models.
 
-One outer cycle sweeps the g-1 gating blocks and then the joint expert block.
-Responsibilities are recomputed at the current iterate before every block
-update, so each surrogate is anchored at the immediately preceding iterate and
-the log-quasi-likelihood never decreases.  Gating blocks use the quadratic
-curvature-bound update; gaussian expert blocks have closed-form weighted
-least-squares solutions; GLM expert blocks use ascent-guarded Newton steps.
+One outer cycle updates the g-1 free gating rows and then the joint expert
+block, recomputing responsibilities at the current iterate before every block
+update, so the log-quasi-likelihood never decreases.  GLM fits sweep the
+gating rows with the quadratic curvature-bound update, gaussian fits take one
+guarded Newton gate step; gaussian expert blocks are closed-form weighted
+least squares, GLM expert blocks ascent-guarded Newton steps.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .model import (
     check_compatible,
     expert_family,
     expert_log_density_matrix,
+    free_class_cov,
     gate_log_probs,
     joint_scores,
     kron_gram,
@@ -38,8 +39,8 @@ STARVATION_FACTOR = 1e-12
 VARIANCE_FLOOR_FACTOR = 1e-10
 GLM_COEF_CAP = 30.0
 # every outer cycle of a GLM fit sweeps the gating blocks GATING_ROUNDS times,
-# a gaussian fit at most that often (see fit), and _step_length lengthens each
-# curvature-bound step up to GATING_STEP_CAP times
+# and _step_length lengthens each curvature-bound step up to GATING_STEP_CAP
+# times; gaussian fits take a Newton gate step instead (see fit)
 GATING_ROUNDS = 3
 GATING_STEP_CAP = 64.0
 # multi_start_fit runs its starts on threads only on data of at least this
@@ -215,7 +216,7 @@ def _step_length(gain, factor: float, tol: float):
 
 def gating_block_update(data: Dataset, theta: MoeParams, z: int) -> np.ndarray:
     """Curvature-bound update of gating block z (0-based, z < g-1): the
-    step that ``fit``'s sweep takes from ``theta`` at step factor 1."""
+    step that a GLM ``fit``'s sweep takes from ``theta`` at step factor 1."""
     if not 0 <= z < theta.g - 1:
         raise ValueError("gating block index must lie in [0, g-1)")
     JS, _ = joint_scores(data, theta)
@@ -397,24 +398,48 @@ def _joint(JS: np.ndarray, L: np.ndarray):
     return tau, float(np.sum(rows))
 
 
+def _newton_gate(JS: np.ndarray, L: np.ndarray, tau: np.ndarray, q: float,
+                 Xt: np.ndarray, gating: np.ndarray):
+    """One guarded Newton step of the g-1 free ``gating`` rows at once on the
+    gate's EM surrogate sum tau log pi (the IRLS gate of Jordan & Jacobs
+    1994), moving ``gating`` and the gating scores JS[1] in place.  Trial
+    steps 1, 1/2, ... are priced through ``_joint``; the first that loses at
+    most the ascent guard's tolerance is kept.  If none is, or the Hessian is
+    not positive definite, nothing moves.  Returns tau and Q_n after the step."""
+    S = JS[1]
+    pi = np.exp(S - logsumexp(S))
+    grad = (tau - pi)[:-1] @ Xt
+    hess = kron_gram(np.ones((1, len(Xt))), free_class_cov(pi[None]), Xt)
+    step, ok = _cholesky_solve(hess, grad.reshape(1, -1))
+    if ok[0]:
+        delta = step.reshape(grad.shape)
+        drow = delta @ Xt.T
+        start = S[:-1].copy()
+        for t in 0.5 ** np.arange(30.0):
+            np.add(start, t * drow, out=S[:-1])
+            tau_t, q_t = _joint(JS, L)
+            if q_t >= q - 1e-10 * (1.0 + abs(q)):
+                gating[:-1] += t * delta
+                return tau_t, q_t
+        S[:-1] = start
+        np.add(S, L, out=JS[0])
+    return tau, q
+
+
 def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
         seed_used: int = 0) -> FitResult:
     """Run the blockwise-MM algorithm from ``init`` until convergence.
 
-    Expert parameters are fixed during the gating sweep, so the expert
-    log-density matrix is computed once per cycle and every gating update and
-    objective evaluation in the sweep reuses it.  The sweep updates the
-    posterior kernel's component-major scores ``JS`` in place, and the constant
-    gating Gram matrix is inverted once.  Each gating block steps along the
-    curvature-bound direction; ``gating_line`` prices trial steps from the
-    block's log-odds, and one rule, ``_step_length``, doubles the step while
-    the objective keeps improving, which cuts cycle counts sharply while
-    preserving monotone ascent.
+    Expert parameters are fixed during the gating update, so the expert
+    log-density matrix is computed once per cycle and reused by every gating
+    trial, which moves the posterior kernel's scores ``JS`` in place.
 
-    GLM fits sweep the gating blocks GATING_ROUNDS times per cycle, standing
-    in for their one-step Newton expert block.  Gaussian fits sweep again
-    only while the last sweep gained more Q_n than the previous cycle's
-    expert block (0 in cycle 1), up to GATING_ROUNDS sweeps.
+    Gaussian fits take one guarded Newton step per cycle over all g-1 free
+    gating rows (``_newton_gate``).  GLM fits sweep the gating rows
+    GATING_ROUNDS times per cycle, standing in for their one-step Newton
+    expert block: each row steps along its curvature-bound direction (the
+    gating Gram matrix inverted once), ``gating_line`` prices trial steps from
+    log-odds, and ``_step_length`` doubles the step while Q_n keeps rising.
 
     The family's expert block is looked up when ``fit`` runs, so a wrapper
     set on its module name sees every call; one ascent guard serves both.
@@ -423,6 +448,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     check_compatible(data, init)
     theta = init.copy()
     g = theta.g
+    # the GLM sweep's step matrix; building it checks the gating design's rank
     M = _gating_step_matrix(data) if g > 1 else None
     gaussian = theta.family == "gaussian"
     block = gaussian_expert_block_update if gaussian else glm_expert_block_update
@@ -435,32 +461,29 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     trace = [q]
     converged = False
     degenerate = False
-    expert_gain = 0.0  # the last expert block's gain in Q_n
     cycle = 0
     for cycle in range(1, config.max_cycles + 1):
         try:
             # the guard's tolerance scale; comparisons use exact step gains
             q_cur = q
-            for _ in range(GATING_ROUNDS):
-                sweep_gain = 0.0
-                for z in range(g - 1):
-                    resid, gain = gating_line(JS, z, others[z])
-                    direction = M @ (Xt.T @ resid)
-                    drow = Xt @ direction
-                    factor, value = _step_length(
-                        lambda step: gain(step, drow), step_factor[z],
-                        1e-10 * (1.0 + abs(q_cur)))
-                    step_factor[z] = max(factor, 1.0)
-                    if factor:
-                        S[z] += factor * drow
-                        np.add(S[z], L[z], out=J[z])
-                        theta.gating[z] = theta.gating[z] + factor * direction
-                        q_cur += value
-                        sweep_gain += value
-                # gaussian: sweep again only while the gate out-gains the experts
-                if gaussian and sweep_gain <= expert_gain:
-                    break
-            tau, q_cur = _joint(JS, L)
+            if not gaussian:
+                for _ in range(GATING_ROUNDS):
+                    for z in range(g - 1):
+                        resid, gain = gating_line(JS, z, others[z])
+                        direction = M @ (Xt.T @ resid)
+                        drow = Xt @ direction
+                        factor, value = _step_length(
+                            lambda step: gain(step, drow), step_factor[z],
+                            1e-10 * (1.0 + abs(q_cur)))
+                        step_factor[z] = max(factor, 1.0)
+                        if factor:
+                            S[z] += factor * drow
+                            np.add(S[z], L[z], out=J[z])
+                            theta.gating[z] = theta.gating[z] + factor * direction
+                            q_cur += value
+                tau, q_cur = _joint(JS, L)
+            elif g > 1:
+                tau, q_cur = _newton_gate(JS, L, tau, q, Xt, theta.gating)
             old = theta.beta, theta.sigma2, L
             theta.beta, theta.sigma2, flagged = block(data, theta, tau, config)
             L = expert_log_density_matrix(data, theta)
@@ -471,7 +494,6 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
                 tau, q_new = _joint(JS, L)
             else:
                 degenerate = gaussian and bool(flagged.any())
-            expert_gain = q_new - q_cur
         except EstimationError as err:
             raise type(err)(f"cycle {cycle}: {err}") from err
         trace.append(q_new)

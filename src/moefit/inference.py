@@ -133,6 +133,8 @@ class SandwichCovariance:
     meat: np.ndarray    # average outer product of per-row scores
     cov: np.ndarray     # sampling covariance of theta-hat
     labels: list[str]
+    # of the bread; near 1/eps its inverse, and so cov, is rounding noise
+    condition: float
 
 
 def sandwich_covariance(data: Dataset, theta: MoeParams) -> SandwichCovariance:
@@ -161,10 +163,10 @@ def sandwich_covariance(data: Dataset, theta: MoeParams) -> SandwichCovariance:
     bread = np.block([[gate, cross], [cross.T, experts]]) / n
     meat = S.T @ S / n
     bread = 0.5 * (bread + bread.T)
+    cond = float(np.linalg.cond(bread))
     try:
         binv = np.linalg.inv(bread)
     except np.linalg.LinAlgError:
-        cond = np.linalg.cond(bread)
         raise InferenceError(
             f"bread matrix is singular (condition number {cond:.3e}); "
             "the fitted root may be non-isolated"
@@ -172,7 +174,7 @@ def sandwich_covariance(data: Dataset, theta: MoeParams) -> SandwichCovariance:
     cov = binv @ meat @ binv / data.n
     cov = 0.5 * (cov + cov.T)
     return SandwichCovariance(bread=bread, meat=meat, cov=cov,
-                              labels=param_labels(theta))
+                              labels=param_labels(theta), condition=cond)
 
 
 def standard_errors(cov: np.ndarray) -> np.ndarray:

@@ -144,6 +144,8 @@ def model_from_dict(doc: dict) -> MoeParams:
             if cov["order"] != labels or shape != (len(labels), len(labels)):
                 raise FormatError(f"covariance block does not match the model's "
                                   f"{len(labels)} parameters")
+            if type(cov.get("condition", 0.0)) not in (int, float):
+                raise FormatError("covariance condition is not a number")
     except (KeyError, TypeError, ValueError) as err:  # ModelError, FormatError too
         raise FormatError(f"malformed model document: {err}") from None
     return theta

@@ -223,6 +223,28 @@ class TestSelect:
         assert header == ["g", "logQL", "dim", "bic", "converged", "degenerate"]
         assert len(rows) == 1
 
+    def test_four_regime_signal_selects_converged_g4_or_more(self, tmp_path, capsys):
+        # the four-regime signal of acceptance criterion 8, at seed 0: every
+        # g >= 3 fit must converge within the cycle cap to be BIC-eligible
+        spec, data = tmp_path / "spec.json", tmp_path / "signal.csv"
+        spec.write_text(json.dumps({
+            "breakpoints": [0.25, 0.5, 0.75],
+            "coefs": [[10.0, 0.0, 0.0], [-20.0, 80.0, -60.0],
+                      [45.0, -40.0, 10.0], [-45.0, 60.0, 0.0]],
+            "noise_sd": [1.5, 1.5, 1.5, 1.5]}))
+        assert run(["simulate", "switch-signal", "--n", "550", "--seed", "0",
+                    "--signal-spec", str(spec), "--out", str(data)]) == 0
+        out, table = tmp_path / "best.json", tmp_path / "bic.csv"
+        code = run(["select", "--data", str(data), "--family", "gaussian",
+                    "--G", "5", "--design", "poly:2", "--starts", "2",
+                    "--max-cycles", "100", "--rel-tol", "1e-6",
+                    "--out", str(out), "--table", str(table)])
+        assert code == 0
+        _, rows = read_csv(table)
+        assert [row[4] for row in rows if int(row[0]) >= 3] == ["1", "1", "1"]
+        g = json.loads(out.read_text())["g"]
+        assert g >= 4 and f"selected g={g} " in capsys.readouterr().out
+
     def test_missing_response_column_exits_2(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("x1,value\n1.0,2.0\n")
@@ -467,6 +489,29 @@ class TestSummarize:
         assert run(["summarize", "--model", str(line_model)]) == 2
         err = capsys.readouterr().err
         assert "fit block" in err and str(line_model) in err
+
+    def test_covariance_condition_saved_and_summarized(self, tmp_path, line_model,
+                                                       capsys):
+        data = TestFit().simulate_line(tmp_path, line_model, n=50)
+        out = tmp_path / "f.json"
+        assert run(["fit", "--data", str(data), "--family", "gaussian",
+                    "--g", "1", "--with-covariance", "--out", str(out)]) == 0
+        condition = json.loads(out.read_text())["covariance"]["condition"]
+        assert 1.0 <= condition < 1e4
+        capsys.readouterr()
+        assert run(["summarize", "--model", str(out)]) == 0
+        assert f"bread condition number={condition:.3e}" in capsys.readouterr().out
+
+    def test_mistyped_covariance_condition_exits_2(self, tmp_path, capsys):
+        theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
+                          beta=np.array([[1.0, 2.0]]), sigma2=np.array([0.25]))
+        labels = param_labels(theta)
+        path = tmp_path / "m.json"
+        save_model(path, theta, covariance={
+            "order": labels, "matrix": np.eye(len(labels)).tolist(),
+            "condition": "1e3"})
+        assert run(["summarize", "--model", str(path)]) == 2
+        assert "condition is not a number" in capsys.readouterr().err
 
     def test_saved_fit_block_summarized(self, tmp_path, line_model, capsys):
         data = TestFit().simulate_line(tmp_path, line_model, n=50)

@@ -1,5 +1,6 @@
 """Guards on what other code relies on: the names the benchmark traces exist,
-the benchmark's fit collector sees one ``fit`` call per start, both expert
+the BIC table has the header the benchmark parses, the benchmark's fit
+collector sees one ``fit`` call per start, both expert
 blocks share one contract and are called once per start and cycle, and no
 module of the package imports a name it never uses."""
 
@@ -37,6 +38,27 @@ def traced_names():
 def test_traced_name_resolves(module, name):
     assert callable(getattr(importlib.import_module(f"moefit.{module}"), name, None)), \
         f"moefit.{module}.{name} is traced by the benchmark but does not exist"
+
+
+def bic_table_header():
+    """The header that ``parse_bic_table`` in bench/checks.py requires, read
+    from its syntax tree without importing the benchmark."""
+    tree = ast.parse((ROOT / "bench" / "checks.py").read_text())
+    parse = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "parse_bic_table")
+    for node in ast.walk(parse):
+        if (isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Eq)
+                and isinstance(node.comparators[0], ast.List)):
+            return ast.literal_eval(node.comparators[0])
+    raise AssertionError("parse_bic_table compares the header to no list")
+
+
+def test_bic_table_header_is_the_one_the_benchmark_parses():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 1))
+    data = Dataset(X, 1.0 + X[:, 0] + rng.normal(size=40), "real")
+    table = select_g(data, 1, "gaussian", config=FitConfig(n_starts=1)).to_csv()
+    assert table.splitlines()[0].split(",") == bic_table_header()
 
 
 @pytest.fixture

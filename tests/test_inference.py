@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from moefit.datagen import gen_moe_sample, uniform_box_sampler
+from moefit.datagen import gen_moe_sample, gen_three_class, uniform_box_sampler
 from moefit.estimation import FitConfig, fit, initialize, multi_start_fit
 from moefit.inference import (
     InferenceError,
@@ -241,6 +241,25 @@ class TestSandwichCovariance:
         bread = sandwich_covariance(data, result.theta).bread
         ref = fd_bread(data, result.theta)
         assert np.linalg.norm(bread - ref) <= 1e-5 * np.linalg.norm(ref)
+
+    def test_condition_flags_near_singular_bread(self):
+        # criterion 1's fit settings leave this g = 4 bread numerically
+        # singular: its covariance entries move with the last bits of the fit
+        data = gen_three_class(1000, seed=0)
+        result = multi_start_fit(data, 4, "multinomial", ExpertDesign(), FitConfig(
+            n_starts=1, rel_tol=2e-4, max_cycles=100, irls_max_inner=1))
+        sw = sandwich_covariance(data, result.theta)
+        assert sw.condition == np.linalg.cond(sw.bread) > 1e12
+
+    def test_condition_of_well_posed_bread(self):
+        truth = MoeParams(family="gaussian",
+                          gating=np.array([[1.0, 1.5], [0.0, 0.0]]),
+                          beta=np.array([[2.0, 2.0], [-2.0, -1.0]]),
+                          sigma2=np.array([0.4, 0.4]))
+        data = gen_moe_sample(truth, uniform_box_sampler([-2.0], [2.0]), 300, seed=0)
+        result = multi_start_fit(data, 2, "gaussian", ExpertDesign(),
+                                 FitConfig(n_starts=2, max_cycles=200))
+        assert 1.0 <= sandwich_covariance(data, result.theta).condition < 1e4
 
     def test_labels_align_with_cov(self):
         rng = np.random.default_rng(8)
