@@ -26,13 +26,13 @@ class FormatError(ValueError):
 
 def write_csv(path, header: list[str], columns) -> None:
     """Write equal-length ``columns`` under ``header``: integer columns as
-    integers, every other column as repr(float)."""
+    integers, every other column as repr(float), CRLF line endings.  No cell
+    needs quoting (headers are generated and numbers hold no comma or quote),
+    so the file is what ``csv.writer`` would write."""
     cells = [map(str, c.tolist()) if np.issubdtype(c.dtype, np.integer)
              else map(repr, c.astype(float).tolist()) for c in map(np.asarray, columns)]
-    with Path(path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(zip(*cells))
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    Path(path).write_text("\r\n".join(lines) + "\r\n", newline="")
 
 
 def write_dataset_csv(path, data: Dataset) -> None:
@@ -47,35 +47,47 @@ def write_dataset_csv(path, data: Dataset) -> None:
 def _read_columns(path: Path, response_col: str,
                   covariate_cols: list[str] | None, with_response: bool):
     """Covariates (n, p), and the response and z_true columns when
-    ``with_response`` is set (z_true is None when the file has none)."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    ``with_response`` is set (z_true is None when the file has none).
+    The header is parsed by ``csv`` and the body by numpy's C parser, which
+    skips blank lines and takes double-quoted cells and spaces around numbers;
+    any other bad cell (``#...``, ``1_000``, empty, missing) or a non-finite
+    z_true is a malformed row.  z_true truncates like ``int(float(s))``."""
+    with path.open() as fh:
+        line = fh.readline()
+        if not line:
+            raise FormatError(f"{path}: empty file")
+        header = next(csv.reader([line]))
+        if with_response and response_col not in header:
+            raise FormatError(f"{path}: missing response column {response_col!r} "
+                              f"(found columns: {header})")
+        if covariate_cols is None:
+            covariate_cols = [c for c in header if c not in (response_col, "z_true")]
+        missing = [c for c in covariate_cols if c not in header]
+        if missing:
+            raise FormatError(f"{path}: missing covariate column(s) {missing} "
+                              f"(found columns: {header})")
+        used = [header.index(c) for c in covariate_cols]
+        if with_response:
+            used += [header.index(c) for c in (response_col, "z_true") if c in header]
+        # loadtxt warns on a body with no rows, so find the first one first
+        start = fh.tell()
+        while (line := fh.readline()) == "\n":
+            start = fh.tell()
+        fh.seek(start)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        rows = [r for r in reader if r]
-    if with_response and response_col not in header:
-        raise FormatError(f"{path}: missing response column {response_col!r} "
-                          f"(found columns: {header})")
-    if covariate_cols is None:
-        covariate_cols = [c for c in header if c not in (response_col, "z_true")]
-    missing = [c for c in covariate_cols if c not in header]
-    if missing:
-        raise FormatError(f"{path}: missing covariate column(s) {missing} "
-                          f"(found columns: {header})")
-    xi = [header.index(c) for c in covariate_cols]
-    try:
-        X = np.array([[float(r[j]) for j in xi] for r in rows]).reshape(len(rows), len(xi))
-        if not with_response:
-            return X, None, None
-        yi = header.index(response_col)
-        zi = header.index("z_true") if "z_true" in header else None
-        y = np.array([float(r[yi]) for r in rows])
-        z = None if zi is None else np.array([int(float(r[zi])) for r in rows])
-    except (ValueError, IndexError, OverflowError) as err:
-        raise FormatError(f"{path}: malformed row ({err})") from None
-    return X, y, z
+            cols = (np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"', comments=None,
+                               usecols=used) if line else np.empty((0, len(used))))
+        except (ValueError, IndexError, OverflowError) as err:
+            raise FormatError(f"{path}: malformed row ({err})") from None
+    p = len(covariate_cols)
+    X = np.ascontiguousarray(cols[:, :p])
+    if not with_response:
+        return X, None, None
+    z = cols[:, p + 1] if len(used) > p + 1 else None
+    # false for nan and inf too, so the cast below stays silent
+    if z is not None and not np.all(np.abs(z) < 2.0 ** 63):
+        raise FormatError(f"{path}: malformed row (z_true is nan, inf or beyond int64)")
+    return X, cols[:, p].copy(), None if z is None else z.astype(int)
 
 
 def read_dataset_csv(path, kind: str, K: int | None = None,

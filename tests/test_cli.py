@@ -386,8 +386,10 @@ class TestPredict:
         header, rows = read_csv(out)
         assert header[0] == "x1" and rows == []
 
-    # an empty file, and a row without the covariate column
-    @pytest.mark.parametrize("text", ["", "y,x1\n1.0\n"], ids=["empty", "short-row"])
+    # an empty file, a row without the covariate column, and a number that
+    # Python's float() takes but the CSV reader does not
+    @pytest.mark.parametrize("text", ["", "y,x1\n1.0\n", "x1\n1_000\n"],
+                             ids=["empty", "short-row", "underscore-number"])
     def test_bad_covariate_file_exits_2(self, tmp_path, line_model, capsys, text):
         data = tmp_path / "d.csv"
         data.write_text(text)

@@ -1,8 +1,9 @@
 """Guards on what other code relies on: the names the benchmark traces exist,
 the BIC table has the header the benchmark parses, the benchmark's fit
 collector sees one ``fit`` call per start, both expert
-blocks share one contract and are called once per start and cycle, and no
-module of the package imports a name it never uses."""
+blocks share one contract and are called once per start and cycle, no
+module of the package imports a name it never uses, and only ``io`` reads or
+writes CSV."""
 
 import ast
 import importlib
@@ -157,3 +158,17 @@ def unused_imports(path: Path) -> list[str]:
                                           if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports(PACKAGE / module) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "io.py"))
+def test_only_io_parses_csv(module):
+    """The package has one CSV reader and one writer, both in ``io``: no
+    other module imports ``csv`` or uses numpy's text-table functions."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / module).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {getattr(node, "module", None)} | {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"csv", "loadtxt", "genfromtxt", "savetxt"}

@@ -1,6 +1,7 @@
 """File-format tests: model JSON round-trips and dataset CSV I/O."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from moefit.io import (
     load_model,
     model_from_dict,
     model_to_dict,
+    read_covariates_csv,
     read_dataset_csv,
     save_model,
+    write_csv,
     write_dataset_csv,
 )
 from moefit.inference import param_labels
@@ -183,3 +186,79 @@ class TestDatasetCsv:
         path.write_text("x1,y,z_true\n1.0,2.0,inf\n")
         with pytest.raises(FormatError, match="malformed"):
             read_dataset_csv(path, "real")
+
+    @pytest.mark.parametrize("nl", ["\n", "\r\n"])
+    def test_blank_lines_skipped(self, tmp_path, nl):
+        path = tmp_path / "d.csv"
+        path.write_bytes(nl.join(["x1,y", "", "1.0,2.0", "", "", "3.0,4.0", "", ""])
+                         .encode())
+        data = read_dataset_csv(path, "real")
+        assert np.array_equal(data.X, [[1.0], [3.0]])
+        assert np.array_equal(data.y, [2.0, 4.0])
+
+    def test_quoted_cells_and_spaces_around_numbers(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('x1,x2,y\n"1.5", 2.0 ,"-3e2"\n')
+        data = read_dataset_csv(path, "real")
+        assert np.array_equal(data.X, [[1.5, 2.0]])
+        assert np.array_equal(data.y, [-300.0])
+
+    def test_extra_trailing_cells_ignored(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,y\n1.0,2.0,9.0,oops\n3.0,4.0\n")
+        data = read_dataset_csv(path, "real")
+        assert np.array_equal(data.X, [[1.0], [3.0]])
+        assert np.array_equal(data.y, [2.0, 4.0])
+
+    def test_columns_found_by_name_in_a_reordered_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("z_true,y,x2,x1\n2,3.0,5.0,7.0\n1,4.0,6.0,8.0\n")
+        data = read_dataset_csv(path, "real")
+        assert np.array_equal(data.X, [[5.0, 7.0], [6.0, 8.0]])
+        assert np.array_equal(data.y, [3.0, 4.0])
+        assert np.array_equal(data.z_true, [2, 1])
+
+    # a short row, a comment-like row and an empty cell; Python's float()
+    # takes "1_000", the column parser does not
+    @pytest.mark.parametrize("row", ["1.0", "#1,2", ",2.0", "1_000,2.0"])
+    def test_unparseable_row_rejected(self, tmp_path, row):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x1,y\n1.0,2.0\n{row}\n")
+        with pytest.raises(FormatError, match="malformed"):
+            read_dataset_csv(path, "real")
+
+    def test_latent_labels_truncate_to_integers(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,y,z_true\n1.0,2.0,2.0\n1.0,2.0,1.7\n")
+        z = read_dataset_csv(path, "real").z_true
+        assert np.issubdtype(z.dtype, np.integer)
+        assert z.tolist() == [2, 1]
+
+    @pytest.mark.parametrize("label", ["nan", "-inf"])
+    def test_non_finite_latent_label_rejected(self, tmp_path, label):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x1,y,z_true\n1.0,2.0,1\n1.0,2.0,{label}\n")
+        with pytest.raises(FormatError, match="malformed"):
+            read_dataset_csv(path, "real")
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])
+    def test_header_only_file_reads_zero_rows_silently(self, tmp_path, body):
+        path = tmp_path / "d.csv"
+        path.write_bytes(f"x1,x2,y\n{body}".encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = read_covariates_csv(path)
+        assert X.shape == (0, 2)
+
+    def test_write_csv_golden_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["k", "a", "b"],
+                  [np.array([1, 2, 3]), np.array([-0.0, 1e16, 1e-05]),
+                   np.array([5e-324, 0.1, np.nan])])
+        assert path.read_bytes() == (b"k,a,b\r\n1,-0.0,5e-324\r\n"
+                                     b"2,1e+16,0.1\r\n3,1e-05,nan\r\n")
+
+    def test_write_csv_zero_rows_is_the_header_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["k", "a"], [np.array([], dtype=int), np.array([])])
+        assert path.read_bytes() == b"k,a\r\n"

@@ -1,12 +1,18 @@
 """Property tests of ``fit`` over expert families, component counts, sample
-sizes and covariate scales.  The examples are derandomized, so every run
-tries the same inputs."""
+sizes and covariate scales, and of the dataset CSV round trip over arbitrary
+finite floats.  The examples are derandomized, so every run tries the same
+inputs."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from moefit.estimation import EstimationError, FitConfig, fit, initialize
+from moefit.io import read_dataset_csv, write_dataset_csv
 from moefit.model import FAMILIES, Dataset, ExpertDesign, responsibilities
 
 
@@ -47,3 +53,31 @@ def test_fit_ascends_or_raises(family, g, n, scale, seed):
     tau = responsibilities(data, result.theta)
     assert np.all(tau >= 0.0)
     assert np.allclose(tau.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
+# every finite float64: both zeros, subnormals and the extreme exponents
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datasets(draw) -> Dataset:
+    n = draw(st.integers(1, 12))
+    X = draw(arrays(np.float64, (n, draw(st.integers(1, 3))), elements=finite))
+    if draw(st.booleans()):
+        return Dataset(X, draw(arrays(np.float64, n, elements=finite)), "real")
+    return Dataset(X, draw(arrays(np.int64, n, elements=st.integers(1, 3))),
+                   "categorical", K=3,
+                   z_true=draw(arrays(np.int64, n, elements=st.integers(1, 4))))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=datasets())
+def test_dataset_csv_round_trip_is_bit_exact(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        write_dataset_csv(path, data)
+        back = read_dataset_csv(path, data.kind, K=data.K)
+    assert back.X.tobytes() == data.X.tobytes()
+    assert back.y.tobytes() == data.y.tobytes()
+    if data.z_true is not None:
+        assert np.array_equal(back.z_true, data.z_true)
