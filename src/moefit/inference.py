@@ -9,10 +9,9 @@ layout: gating blocks 1..g-1, then expert blocks 1..g.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.stats import norm
 
 from .model import (
     Dataset,
@@ -158,8 +157,11 @@ def sandwich_covariance(data: Dataset, theta: MoeParams) -> SandwichCovariance:
     cross = np.hstack([
         ((np.eye(g)[z, :-1] - tau[:, :-1])[:, :, None] * Xt[:, None, :]).reshape(n, q).T
         @ (tau[:, z, None] * s[z]) for z in range(g)])
-    experts = (block_diag(*(hess + np.einsum("zn,znm,znl->zml", tau.T, s, s)))
-               - S_experts.T @ S_experts)
+    k = hess.shape[1]
+    experts = np.zeros((g, k, g, k))  # block diagonal, one (k, k) block per component
+    experts[np.arange(g), :, np.arange(g), :] = (
+        hess + np.einsum("zn,znm,znl->zml", tau.T, s, s))
+    experts = experts.reshape(g * k, g * k) - S_experts.T @ S_experts
     bread = np.block([[gate, cross], [cross.T, experts]]) / n
     meat = S.T @ S / n
     bread = 0.5 * (bread + bread.T)
@@ -204,7 +206,7 @@ def mean_ci_rows(X: np.ndarray, theta: MoeParams, cov: np.ndarray,
     grad = np.concatenate(
         [a.reshape(n, a.shape[1] * a.shape[2]) for a in (dgate, dbeta)], axis=1)
     var = np.einsum("ni,ij,nj->n", grad, cov, grad)
-    half = norm.ppf(0.5 * (1.0 + level)) * np.sqrt(np.maximum(var, 0.0))
+    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * np.sqrt(np.maximum(var, 0.0))
     return m, m - half, m + half
 
 

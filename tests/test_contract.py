@@ -2,12 +2,15 @@
 the BIC table has the header the benchmark parses, the benchmark's fit
 collector sees one ``fit`` call per start, both expert
 blocks share one contract and are called once per start and cycle, no
-module of the package imports a name it never uses, and only ``io`` reads or
-writes CSV."""
+module of the package imports a name it never uses, only ``io`` reads or
+writes CSV, and the package runs on numpy alone, without scipy."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -172,3 +175,27 @@ def test_only_io_parses_csv(module):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert not names & {"csv", "loadtxt", "genfromtxt", "savetxt"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_scipy(module):
+    """The runtime needs numpy alone; scipy is only the tests' oracle."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / module).read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+    assert not {n for n in names if n.split(".")[0] == "scipy"}
+
+
+def test_import_loads_no_scipy():
+    """A fresh interpreter that imports the package and its CLI has no scipy
+    module loaded, whichever module would have pulled it in."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, moefit, moefit.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True, timeout=120, env=env)
+    assert out.stdout.strip() == "[]"

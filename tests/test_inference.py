@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.stats import norm
 
 from moefit.datagen import gen_moe_sample, gen_three_class, uniform_box_sampler
 from moefit.estimation import FitConfig, fit, initialize, multi_start_fit
 from moefit.inference import (
     InferenceError,
+    _scores,
     flatten_params,
     mean_ci,
     mean_ci_rows,
@@ -22,7 +24,9 @@ from moefit.model import (
     Dataset,
     ExpertDesign,
     MoeParams,
+    free_class_cov,
     gate_log_probs,
+    kron_gram,
     moe_log_density,
     responsibilities,
 )
@@ -181,7 +185,34 @@ class TestFlattenRoundTrip:
         assert len(param_labels(theta)) == vec.size
 
 
+def block_diag_bread(data, theta):
+    """sandwich_covariance's bread with its expert blocks laid out by
+    scipy.linalg.block_diag, the reference for the package's numpy layout."""
+    tau, gates, Xt, s, hess, S = _scores(data, theta)
+    n, g = tau.shape
+    q = (g - 1) * Xt.shape[1]
+    gate = kron_gram(np.ones((1, n)), free_class_cov(tau.T[None])
+                     - free_class_cov(gates.T[None]), Xt)[0]
+    cross = np.hstack([
+        ((np.eye(g)[z, :-1] - tau[:, :-1])[:, :, None] * Xt[:, None, :]).reshape(n, q).T
+        @ (tau[:, z, None] * s[z]) for z in range(g)])
+    experts = (block_diag(*(hess + np.einsum("zn,znm,znl->zml", tau.T, s, s)))
+               - S[:, q:].T @ S[:, q:])
+    bread = np.block([[gate, cross], [cross.T, experts]]) / n
+    return 0.5 * (bread + bread.T)
+
+
 class TestSandwichCovariance:
+    @pytest.mark.parametrize("family,g", [("gaussian", 1), ("gaussian", 2),
+                                          ("gaussian", 3), ("multinomial", 2)])
+    def test_bread_equals_block_diag_oracle(self, family, g):
+        rng = np.random.default_rng(40 + g)
+        truth = random_theta(family, rng, g=g, p=2)
+        data = gen_moe_sample(truth, uniform_box_sampler([-2.0] * 2, [2.0] * 2), 200,
+                              seed=g)
+        assert np.array_equal(sandwich_covariance(data, truth).bread,
+                              block_diag_bread(data, truth))
+
     def test_symmetry_and_nonnegative_diagonal(self):
         rng = np.random.default_rng(6)
         truth = random_theta("gaussian", rng)
@@ -304,6 +335,17 @@ class TestMeanCi:
         m = predict_mean(x, theta)
         assert lo == pytest.approx(m - norm.ppf(0.975) * se, rel=1e-3)
         assert hi == pytest.approx(m + norm.ppf(0.975) * se, rel=1e-3)
+
+    def test_quantile_matches_scipy(self):
+        # zero mean and unit variance at x = 0, so the bounds are -/+ the quantile
+        theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
+                          beta=np.zeros((1, 2)), sigma2=np.ones(1))
+        cov = np.diag([1.0, 0.0, 0.0])
+        levels = np.random.default_rng(11).uniform(size=10_000)
+        got = np.array([mean_ci_rows(np.zeros((1, 1)), theta, cov, level)[2][0]
+                        for level in levels])
+        want = norm.ppf(0.5 * (1.0 + levels))
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
 
     def test_wider_level_contains_narrower(self):
         data, theta = self.fitted_g1()

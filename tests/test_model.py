@@ -350,6 +350,16 @@ class TestFamilyTable:
         assert got.shape == (g, n)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("y", [np.arange(200_001), np.array([], dtype=int),
+                                   np.array([3, 0, 3, 7, 0, 3, 12, 7])],
+                             ids=["0..2e5", "empty", "repeated"])
+    def test_poisson_log_factorial_matches_gammaln(self, y):
+        # at s = 0 the density is -1 - log y!, so this compares log y! alone
+        got = EXPERT_FAMILIES["poisson"].log_density(np.zeros((1, y.size)), y, None)
+        want = -1.0 - special.gammaln(y + 1.0)
+        assert got.shape == (1, y.size)
+        assert np.all(np.abs(got[0] - want) <= 1e-14 * np.abs(want))
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_layout_matches_parameter_shapes(self, family):
         fam = EXPERT_FAMILIES[family]
