@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen, io, tasks
-from .estimation import (THREAD_MIN_ROWS, EstimationError, FitConfig,
-                         InfeasibleInitError, multi_start_fit)
+from .estimation import (EstimationError, FitConfig, InfeasibleInitError,
+                         multi_start_fit)
 from .inference import (InferenceError, mean_ci_rows, sandwich_covariance,
                         standard_errors)
 from .model import (FAMILIES, ExpertDesign, ModelError, expert_family,
@@ -47,6 +47,8 @@ _FIT_FLAGS = {"--starts": "n_starts", "--seed": "seed", "--max-cycles": "max_cyc
 
 
 def _fit_config(args) -> FitConfig:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     return FitConfig(**{field: getattr(args, field) for field in _FIT_FLAGS.values()})
 
 
@@ -63,9 +65,8 @@ def _add_fit_flags(p):
         default = getattr(FitConfig, field)
         p.add_argument(flag, dest=field, type=type(default), default=default)
     p.add_argument("--threads", type=int, default=1,
-                   help="threads for the starts (>= 1); used only on data of "
-                        f"at least {THREAD_MIN_ROWS} rows, below which one "
-                        "thread is faster")
+                   help="accepted (>= 1) but ignored: the starts always run "
+                        "serially")
 
 
 def _add_data_flags(p):
@@ -162,8 +163,7 @@ def cmd_fit(args) -> int:
     design = _parse_design(args.design)
     data = _read_data(args, args.family, args.K)
     config = _fit_config(args)
-    result = multi_start_fit(data, args.g, args.family, design, config,
-                             n_threads=args.threads)
+    result = multi_start_fit(data, args.g, args.family, design, config)
     _save_fit(args, result, data, design)
     return 0
 
@@ -174,8 +174,7 @@ def cmd_select(args) -> int:
     design = _parse_design(args.design)
     data = _read_data(args, args.family, args.K)
     config = _fit_config(args)
-    report = select_g(data, args.G, args.family, design, config,
-                      n_threads=args.threads)
+    report = select_g(data, args.G, args.family, design, config)
     best = report.best()
     _save_fit(args, best.fit, data, design)
     if args.table:

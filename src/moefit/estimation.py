@@ -43,15 +43,6 @@ GLM_COEF_CAP = 30.0
 # times; gaussian fits take a Newton gate step instead (see fit)
 GATING_ROUNDS = 3
 GATING_STEP_CAP = 64.0
-# multi_start_fit runs its starts on threads only on data of at least this
-# many rows.  A fit makes many short numpy calls, each handing the
-# interpreter lock back and forth, so on small data two threads run slower
-# than one.  Serial time over two-thread time (medians, 2 starts x 30
-# cycles, single-threaded BLAS, 2-core machine) for gaussian poly:2 and
-# multinomial experts at g = 2 and 4: 0.59-0.64 at 512 rows, 0.67-0.72 at
-# 1,024, 0.75-1.03 at 2,048, 0.98-1.34 at 4,096 (gaussian g = 2 read 0.98,
-# 1.02 and 1.15 in three runs) and 1.10-1.77 at 8,192.
-THREAD_MIN_ROWS = 4096
 
 
 class EstimationError(RuntimeError):
@@ -590,48 +581,34 @@ def initialize(data: Dataset, g: int, family: str, design: ExpertDesign,
 
 def multi_start_fit(data: Dataset, g: int, family: str,
                     design: ExpertDesign | None = None,
-                    config: FitConfig | None = None,
-                    n_threads: int = 1) -> FitResult:
+                    config: FitConfig | None = None) -> FitResult:
     """Best-of-n_starts fit; seeds are config.seed, config.seed+1, ...
 
-    With ``n_threads`` > 1 the starts run on that many threads, but only on
-    data of at least ``THREAD_MIN_ROWS`` rows; on smaller data threads are
-    slower than one and the starts run serially.  Each start's components are
-    put in ``canonical_order``, so starts that reach one optimum under swapped
-    labels return the same parameters.  The winner has the largest final
-    log-quasi-likelihood, ties broken toward the lowest start index; the merge
-    is deterministic regardless of how many threads ran the starts, and it
-    carries the failure messages of the other starts in ``failed_starts``.
-    Data with too few rows for ``initialize``, or a rank-deficient design,
-    raise one InfeasibleInitError before any start runs.
+    The starts run one after another.  The winner has the largest final
+    log-quasi-likelihood, ties broken toward the lowest start index; its
+    components are put in ``canonical_order``, so starts that reach one
+    optimum under swapped labels return the same parameters, and it carries
+    the failure messages of the other starts, in start order, in
+    ``failed_starts``.  Data with too few rows for ``initialize``, or a
+    rank-deficient design, raise one InfeasibleInitError before any start
+    runs.
     """
-    if n_threads < 1:
-        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     config = config or FitConfig()
     design = design or ExpertDesign()
     _check_init_rows(data, g, design)
-
-    def run(k: int) -> FitResult | str:
-        """Start k's fit, or the reason it failed."""
+    best, failures = None, []
+    for k in range(config.n_starts):
         seed_k = config.seed + k
         try:
             init = initialize(data, g, family, design, seed_k, config)
             result = fit(data, init, config, seed_used=seed_k)
         except EstimationError as err:
-            return f"start {k} (seed {seed_k}): {err}"
-        result.theta = canonical_order(result.theta)
-        return result
-
-    if n_threads > 1 and data.n >= THREAD_MIN_ROWS:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            outcomes = list(pool.map(run, range(config.n_starts)))
-    else:
-        outcomes = [run(k) for k in range(config.n_starts)]
-    results = [(k, r) for k, r in enumerate(outcomes) if isinstance(r, FitResult)]
-    failures = [r for r in outcomes if isinstance(r, str)]
-    if not results:
+            failures.append(f"start {k} (seed {seed_k}): {err}")
+            continue
+        if best is None or result.q_hat > best.q_hat:
+            best = result
+    if best is None:
         raise EstimationError("all starts failed:\n  " + "\n  ".join(failures))
-    _, best = max(results, key=lambda kr: (kr[1].q_hat, -kr[0]))
+    best.theta = canonical_order(best.theta)
     best.failed_starts = tuple(failures)
     return best

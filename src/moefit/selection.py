@@ -69,8 +69,7 @@ class SelectionReport:
 
 def select_g(data: Dataset, G: int, family: str,
              design: ExpertDesign | None = None,
-             config: FitConfig | None = None,
-             n_threads: int = 1) -> SelectionReport:
+             config: FitConfig | None = None) -> SelectionReport:
     """Fit g = 1..G with multi-start and pick the smallest g at minimal BIC.
 
     Degenerate (variance-floored) and non-converged fits appear in the report
@@ -87,8 +86,7 @@ def select_g(data: Dataset, G: int, family: str,
     for g in range(1, G + 1):
         dim = param_count(g, data.p, family, design, data.K)
         try:
-            result = multi_start_fit(data, g, family, design, config,
-                                     n_threads=n_threads)
+            result = multi_start_fit(data, g, family, design, config)
         except EstimationError as err:
             rows.append(GFit(g=g, q_hat=np.nan, dim=dim, bic=np.nan,
                              converged=False, degenerate=False, error=str(err)))

@@ -1,9 +1,10 @@
 """Guards on what other code relies on: the names the benchmark traces exist,
-the BIC table has the header the benchmark parses, the benchmark's fit
-collector sees one ``fit`` call per start, both expert
-blocks share one contract and are called once per start and cycle, no
-module of the package imports a name it never uses, only ``io`` reads or
-writes CSV, and the package runs on numpy alone, without scipy."""
+the BIC table has the header the benchmark parses, the CLI accepts the fit
+flags the benchmark passes, the benchmark's fit collector sees one ``fit``
+call per start, both expert blocks share one contract and are called once
+per start and cycle, no module of the package imports a name it never uses,
+only ``io`` reads or writes CSV, and the package runs on numpy alone, without
+scipy, and on one thread."""
 
 import ast
 import importlib
@@ -11,7 +12,6 @@ import inspect
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,8 @@ import pytest
 
 import moefit.estimation as estimation
 from moefit.datagen import gen_three_class
-from moefit.estimation import THREAD_MIN_ROWS, FitConfig, fit, initialize, multi_start_fit
+from moefit.cli import _fit_config, build_parser
+from moefit.estimation import FitConfig, fit, initialize, multi_start_fit
 from moefit.model import Dataset, ExpertDesign
 from moefit.selection import select_g
 
@@ -27,21 +28,32 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "moefit"
 
 
-def traced_names():
-    """The (module, function) pairs of ``TRACED`` in bench/spans.py, read
-    from its syntax tree without importing the benchmark."""
-    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+def bench_constant(module, name):
+    """The literal assigned to ``name`` in bench/<module>.py, read from its
+    syntax tree without importing the benchmark."""
+    tree = ast.parse((ROOT / "bench" / f"{module}.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError("bench/spans.py defines no TRACED list")
+    raise AssertionError(f"bench/{module}.py defines no {name}")
 
 
-@pytest.mark.parametrize("module,name", traced_names())
+@pytest.mark.parametrize("module,name", bench_constant("spans", "TRACED"))
 def test_traced_name_resolves(module, name):
     assert callable(getattr(importlib.import_module(f"moefit.{module}"), name, None)), \
         f"moefit.{module}.{name} is traced by the benchmark but does not exist"
+
+
+@pytest.mark.parametrize("command", ["fit", "select"])
+def test_benchmark_fit_flags_parse(command):
+    """The CLI workload passes ``SEGMENT_FLAGS`` to ``fit`` and ``select``,
+    so a flag it passes, ``--threads`` among them, cannot be dropped first."""
+    size = ["--g", "1"] if command == "fit" else ["--G", "1"]
+    args = build_parser().parse_args(
+        [command, "--data", "d.csv", "--family", "gaussian", *size,
+         "--out", "f.json", *bench_constant("workloads", "SEGMENT_FLAGS")])
+    _fit_config(args)
 
 
 def bic_table_header():
@@ -71,34 +83,29 @@ def fit_calls(monkeypatch):
     benchmark's ``Fits`` collector wraps it, and return the call log.  The
     benchmark checks how many starts it sees through this wrapper, so a change
     that stops calling ``fit`` once per start must change the benchmark
-    first.  Each call logs (seed, whether it ran on the main thread)."""
+    first.  Each call logs its seed."""
     calls = []
     original = estimation.fit
 
     def counted(*args, **kwargs):
-        calls.append((kwargs.get("seed_used"),
-                      threading.current_thread() is threading.main_thread()))
+        calls.append(kwargs.get("seed_used"))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(estimation, "fit", counted)
     return calls
 
 
-@pytest.mark.parametrize("n, n_threads", [(200, 1), (THREAD_MIN_ROWS, 2)])
-def test_fit_called_once_per_start(fit_calls, n, n_threads):
-    data = gen_three_class(n, seed=0)
+def test_fit_called_once_per_start(fit_calls):
+    data = gen_three_class(200, seed=0)
     multi_start_fit(data, 2, "multinomial",
-                    config=FitConfig(n_starts=3, max_cycles=2, irls_max_inner=1),
-                    n_threads=n_threads)
-    seeds, on_main = zip(*sorted(fit_calls))
-    assert seeds == (0, 1, 2)
-    assert all(on_main) == (n_threads == 1)
+                    config=FitConfig(n_starts=3, max_cycles=2, irls_max_inner=1))
+    assert fit_calls == [0, 1, 2]
 
 
 def test_select_g_calls_fit_once_per_start_and_g(fit_calls):
     data = gen_three_class(200, seed=0)
     select_g(data, 2, "multinomial", config=FitConfig(n_starts=2, rel_tol=1e-3))
-    assert [seed for seed, _ in fit_calls] == [0, 1, 0, 1]
+    assert fit_calls == [0, 1, 0, 1]
 
 
 EXPERT_BLOCKS = ("gaussian_expert_block_update", "glm_expert_block_update")
@@ -179,14 +186,17 @@ def test_only_io_parses_csv(module):
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_module_imports_scipy(module):
-    """The runtime needs numpy alone; scipy is only the tests' oracle."""
+    """The runtime needs numpy alone; scipy is only the tests' oracle.  The
+    starts of a fit run serially, so no module imports a thread pool
+    either."""
     names = set()
     for node in ast.walk(ast.parse((PACKAGE / module).read_text())):
         if isinstance(node, ast.Import):
             names |= {a.name for a in node.names}
         elif isinstance(node, ast.ImportFrom):
             names.add(node.module or "")
-    assert not {n for n in names if n.split(".")[0] == "scipy"}
+    assert not {n for n in names
+                if n.split(".")[0] in {"scipy", "concurrent", "threading"}}
 
 
 def test_import_loads_no_scipy():

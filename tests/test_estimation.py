@@ -14,9 +14,10 @@ from moefit.datagen import (
 from moefit.estimation import (
     GATING_ROUNDS,
     GATING_STEP_CAP,
-    THREAD_MIN_ROWS,
     EmptyComponentError,
+    EstimationError,
     FitConfig,
+    FitResult,
     InfeasibleInitError,
     RankDeficientError,
     fit,
@@ -878,51 +879,44 @@ class TestMultiStart:
         for field in ("gating", "beta", "sigma2"):
             assert np.allclose(getattr(a, field), getattr(b, field), rtol=0, atol=1e-10)
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The max_workers of every thread pool multi_start_fit opens."""
-        import concurrent.futures
+    @staticmethod
+    def crafted_fit(monkeypatch, q_hats, seed):
+        """Replace ``fit`` so that start k ends its trace at q_hats[k], or
+        fails when that is None; the real ``initialize`` still runs."""
+        def crafted(data, init, config, seed_used=0):
+            q = q_hats[seed_used - seed]
+            if q is None:
+                raise EmptyComponentError(f"crafted failure of seed {seed_used}")
+            return FitResult(theta=init, q_trace=np.array([q - 1.0, q]),
+                             cycles_used=1, converged=True, degenerate=False,
+                             seed_used=seed_used)
+        monkeypatch.setattr(estimation, "fit", crafted)
 
-        opened = []
+    # starts 1 and 3 tie above the others; failing starts keep their index
+    @pytest.mark.parametrize("q_hats, failed", [
+        ([1.0, 5.0, 2.0, 5.0], []),
+        ([1.0, 5.0, None, 5.0], [2]),
+        ([None, 5.0, None, 5.0], [0, 2]),
+    ])
+    def test_merge_keeps_lowest_start_of_a_tie(self, monkeypatch, q_hats, failed):
+        self.crafted_fit(monkeypatch, q_hats, seed=10)
+        data = two_component_sample("gaussian", 100, seed=12)
+        best = multi_start_fit(data, 2, "gaussian", ExpertDesign(),
+                               FitConfig(n_starts=4, seed=10))
+        assert (best.seed_used, best.q_hat) == (11, 5.0)
+        assert best.failed_starts == tuple(
+            f"start {k} (seed {10 + k}): crafted failure of seed {10 + k}"
+            for k in failed)
 
-        class Recording(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                opened.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-        return opened
-
-    def test_threaded_merge_matches_serial(self, pools, family="gaussian"):
-        data = two_component_sample(family, THREAD_MIN_ROWS, seed=12)
-        config = FitConfig(n_starts=4, seed=0, max_cycles=50)
-        serial = multi_start_fit(data, 2, family, ExpertDesign(), config)
-        assert pools == []
-        threaded = multi_start_fit(data, 2, family, ExpertDesign(), config,
-                                   n_threads=3)
-        assert pools == [3]
-        assert serial.seed_used == threaded.seed_used
-        assert np.array_equal(serial.theta.beta, threaded.theta.beta)
-        assert np.array_equal(serial.q_trace, threaded.q_trace)
-
-    def test_threaded_merge_matches_serial_multinomial(self, pools):
-        self.test_threaded_merge_matches_serial(pools, "multinomial")
-
-    def test_no_threads_below_row_threshold(self, pools):
-        data = two_component_sample("gaussian", THREAD_MIN_ROWS - 1, seed=12)
-        config = FitConfig(n_starts=2, seed=0, max_cycles=20)
-        threaded = multi_start_fit(data, 2, "gaussian", ExpertDesign(), config,
-                                   n_threads=2)
-        assert pools == []
-        serial = multi_start_fit(data, 2, "gaussian", ExpertDesign(), config)
-        assert np.array_equal(serial.q_trace, threaded.q_trace)
-
-    @pytest.mark.parametrize("n_threads", [0, -3])
-    def test_bad_thread_count_rejected(self, n_threads):
-        data = two_component_sample("gaussian", 50, seed=12)
-        with pytest.raises(ValueError, match="n_threads"):
+    def test_all_starts_failed_lists_them_in_order(self, monkeypatch):
+        self.crafted_fit(monkeypatch, [None] * 3, seed=10)
+        data = two_component_sample("gaussian", 100, seed=12)
+        with pytest.raises(EstimationError) as err:
             multi_start_fit(data, 2, "gaussian", ExpertDesign(),
-                            FitConfig(n_starts=1), n_threads=n_threads)
+                            FitConfig(n_starts=3, seed=10))
+        assert str(err.value) == "all starts failed:" + "".join(
+            f"\n  start {k} (seed {10 + k}): crafted failure of seed {10 + k}"
+            for k in range(3))
 
     def test_infeasible_g_raises_once_before_any_start(self, monkeypatch):
         calls = []
