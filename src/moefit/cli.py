@@ -178,7 +178,7 @@ def cmd_select(args) -> int:
     best = report.best()
     _save_fit(args, best.fit, data, design)
     if args.table:
-        Path(args.table).write_text(report.to_csv())
+        report.to_csv(args.table)
     print(f"selected g={report.g_hat}  logQL={best.q_hat:.6f}  "
           f"dim={best.dim}  bic={best.bic:.6f}")
     return 0

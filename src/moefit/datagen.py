@@ -51,9 +51,8 @@ def gen_moe_sample(theta: MoeParams, covariate_sampler, n: int, seed: int) -> Da
     if X.shape != (n, theta.p):
         raise ValueError(f"covariate sampler must return shape ({n}, {theta.p})")
     gates = np.exp(gate_log_probs(X, theta.gating))
-    # inverse-CDF draw of the latent component per row
-    u = rng.random(n)
-    z = (np.cumsum(gates, axis=1) < u[:, None]).sum(axis=1)
+    # the latent component of each row, drawn like a multinomial response
+    z = expert_family("multinomial").sample(rng, gates, None) - 1
     fam = expert_family(theta.family)
     Dt = np.column_stack([np.ones(n), theta.design.matrix(X)])
     # each row's linear predictor under its own component: (n,), or (n, K)

@@ -32,6 +32,7 @@ from .model import (
     log_quasi_likelihood,
     logsumexp,
     posterior,
+    softplus,
 )
 
 STARVATION_FACTOR = 1e-12
@@ -148,13 +149,6 @@ def _gating_step_matrix(data: Dataset) -> np.ndarray:
     return M[0]
 
 
-def _softplus(u: np.ndarray) -> np.ndarray:
-    """log(1 + e^u) as max(u, 0) + log1p(e^-|u|).  It never overflows, and
-    numpy's exp and log1p are vectorized where np.logaddexp loops over
-    scalars."""
-    return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
-
-
 def gating_line(JS: np.ndarray, z: int, others: np.ndarray):
     """Q_n along the step of gating row z, from log-odds.
 
@@ -167,21 +161,17 @@ def gating_line(JS: np.ndarray, z: int, others: np.ndarray):
     Returns (tau_z - pi_z, gain), where gain(step, drow) is the change in Q_n
     when row z moves by step * drow.
     """
-    if len(others) == 1:
-        # the one other row is its own log-sum-exp, exactly
-        rho = JS[:, others[0]] - JS[:, z]
-    else:
-        rho = logsumexp(JS[:, others], axis=1) - JS[:, z]
+    rho = logsumexp(JS[:, others], axis=1) - JS[:, z]
 
     def net(sp: np.ndarray) -> float:
         """sum softplus(rho_j - x) - sum softplus(rho_s - x)"""
         s = sp.sum(axis=1)
         return float(s[0] - s[1])
 
-    sp = _softplus(rho)
+    sp = softplus(rho)
     base = net(sp)
     p = np.exp(-sp)
-    return p[0] - p[1], lambda step, drow: net(_softplus(rho - drow * step)) - base
+    return p[0] - p[1], lambda step, drow: net(softplus(rho - drow * step)) - base
 
 
 def _step_length(gain, factor: float, tol: float):
@@ -441,8 +431,8 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     g = theta.g
     # the GLM sweep's step matrix; building it checks the gating design's rank
     M = _gating_step_matrix(data) if g > 1 else None
-    gaussian = theta.family == "gaussian"
-    block = gaussian_expert_block_update if gaussian else glm_expert_block_update
+    dispersion = expert_family(theta.family).dispersion
+    block = gaussian_expert_block_update if dispersion else glm_expert_block_update
     Xt = add_intercept(data.X)
     JS, L = joint_scores(data, theta)
     J, S = JS  # views: the joint and the gating scores
@@ -457,7 +447,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
         try:
             # the guard's tolerance scale; comparisons use exact step gains
             q_cur = q
-            if not gaussian:
+            if not dispersion:
                 for _ in range(GATING_ROUNDS):
                     for z in range(g - 1):
                         resid, gain = gating_line(JS, z, others[z])
@@ -484,7 +474,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
                 theta.beta, theta.sigma2, L = old
                 tau, q_new = _joint(JS, L)
             else:
-                degenerate = gaussian and bool(flagged.any())
+                degenerate = dispersion and bool(flagged.any())
         except EstimationError as err:
             raise type(err)(f"cycle {cycle}: {err}") from err
         trace.append(q_new)

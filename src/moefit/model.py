@@ -30,6 +30,13 @@ def logsumexp(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return s.squeeze(axis)
 
 
+def softplus(u: np.ndarray) -> np.ndarray:
+    """log(1 + e^u) as max(u, 0) + log1p(e^-|u|).  It never overflows, and
+    numpy's exp and log1p are vectorized where its two-argument log-add-exp
+    loops over scalars."""
+    return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
+
+
 def softmax(a: np.ndarray, axis: int) -> np.ndarray:
     """Max-stabilized softmax along ``axis``: the multinomial inverse link."""
     e = np.exp(a - a.max(axis=axis, keepdims=True))
@@ -127,9 +134,9 @@ EXPERT_FAMILIES = {
         dispersion=True),
     "logistic": ExpertFamily(
         kind="binary",
-        # y*s - log(1 + e^s), stabilized
-        log_density=lambda s, y, sigma2: y * s - np.logaddexp(0.0, s),
-        mean=lambda s: 1.0 / (1.0 + np.exp(-s)),
+        log_density=lambda s, y, sigma2: y * s - softplus(s),
+        # the sigmoid 1 / (1 + e^-s), which never overflows
+        mean=lambda s: np.exp(-softplus(-s)),
         mean_cov=lambda mu: (mu * (1.0 - mu))[:, None, None],
         sample=lambda rng, mu, sigma2: (rng.random(len(mu)) < mu).astype(int),
         separable=True),
@@ -285,8 +292,7 @@ class MoeParams:
             raise ModelError("parameters must be finite")
         g = self.gating.shape[0]
         if fam.multiclass:
-            if self.K is None or self.K < 2:
-                raise ModelError("multinomial experts require K >= 2")
+            fam.free_classes(self.K)  # raises unless K >= 2
             if self.beta.ndim != 3 or self.beta.shape[:2] != (g, self.K):
                 raise ModelError("multinomial beta must have shape (g, K, d+1)")
         else:

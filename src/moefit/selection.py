@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimation import (EstimationError, FitConfig, FitResult, _check_init_rows,
                          multi_start_fit)
+from .io import write_csv
 from .model import Dataset, ExpertDesign, expert_family
 
 
@@ -56,15 +56,12 @@ class SelectionReport:
     def best(self) -> GFit:
         return next(r for r in self.rows if r.g == self.g_hat)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("g,logQL,dim,bic,converged,degenerate\n")
-        for r in self.rows:
-            q = "" if r.fit is None else repr(float(r.q_hat))
-            b = "" if r.fit is None else repr(float(r.bic))
-            buf.write(f"{r.g},{q},{r.dim},{b},"
-                      f"{int(r.converged)},{int(r.degenerate)}\n")
-        return buf.getvalue()
+    def to_csv(self, path) -> None:
+        """Write the per-g BIC table to ``path`` with ``io.write_csv``; a g
+        whose every start failed has nan logQL and bic."""
+        write_csv(path, ["g", "logQL", "dim", "bic", "converged", "degenerate"],
+                  zip(*[(r.g, r.q_hat, r.dim, r.bic, int(r.converged), int(r.degenerate))
+                        for r in self.rows]))
 
 
 def select_g(data: Dataset, G: int, family: str,

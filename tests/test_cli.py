@@ -199,6 +199,15 @@ class TestFit:
         assert "--g must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_poly_degree_exits_2(self, tmp_path, line_model, capsys):
+        data = self.simulate_line(tmp_path, line_model, n=50)
+        out = tmp_path / "f.json"
+        code = run(["fit", "--data", str(data), "--family", "gaussian",
+                    "--g", "1", "--design", "poly:x", "--out", str(out)])
+        assert code == 2
+        assert "error: bad --design value 'poly:x'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_design_exits_2(self, tmp_path, line_model):
         data = self.simulate_line(tmp_path, line_model)
         code = run(["fit", "--data", str(data), "--family", "gaussian",
@@ -208,6 +217,20 @@ class TestFit:
 
 
 class TestSelect:
+    def test_no_eligible_fit_exits_3(self, tmp_path, capsys):
+        # noise-free line data: the one g=1 fit floors its variance, so no g
+        # is eligible and neither file is written
+        data = tmp_path / "d.csv"
+        data.write_text("x1,y\n" + "".join(f"{x},{1.0 + 2.0 * x}\n" for x in range(20)))
+        out, table = tmp_path / "best.json", tmp_path / "bic.csv"
+        code = run(["select", "--data", str(data), "--family", "gaussian",
+                    "--G", "1", "--starts", "2", "--out", str(out),
+                    "--table", str(table)])
+        assert code == 3
+        assert capsys.readouterr().err == ("numerical failure: no eligible fit on "
+                                           "grid 1..1 (g=1: degenerate)\n")
+        assert not out.exists() and not table.exists()
+
     def test_g1_grid(self, tmp_path, line_model, capsys):
         data = tmp_path / "d.csv"
         assert run(["simulate", "moe", "--n", "150", "--seed", "0",
@@ -362,6 +385,22 @@ class TestPredict:
                     "--mode", "mean-ci", "--out", str(tmp_path / "p.csv")])
         assert code == 2
         assert "with-covariance" in capsys.readouterr().err
+
+    def test_mean_ci_requires_gaussian_experts(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-2.0, 2.0, size=60)
+        y = rng.random(60) < 1.0 / (1.0 + np.exp(-2.0 * x))
+        data = tmp_path / "d.csv"
+        data.write_text("x1,y\n" + "".join(f"{a!r},{b:d}\n"
+                                           for a, b in zip(x.tolist(), y.tolist())))
+        model, out = tmp_path / "m.json", tmp_path / "p.csv"
+        assert run(["fit", "--data", str(data), "--family", "logistic", "--g", "1",
+                    "--with-covariance", "--out", str(model)]) == 0
+        code = run(["predict", "--model", str(model), "--data", str(data),
+                    "--mode", "mean-ci", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: mean-ci requires gaussian experts\n"
+        assert not out.exists()
 
     def test_covariate_count_mismatch_exits_2(self, tmp_path, line_model, capsys):
         data = tmp_path / "d.csv"

@@ -3,8 +3,8 @@ the BIC table has the header the benchmark parses, the CLI accepts the fit
 flags the benchmark passes, the benchmark's fit collector sees one ``fit``
 call per start, both expert blocks share one contract and are called once
 per start and cycle, no module of the package imports a name it never uses,
-only ``io`` reads or writes CSV, and the package runs on numpy alone, without
-scipy, and on one thread."""
+only ``io`` reads or writes CSV, each family kernel has one copy, and the
+package runs on numpy alone, without scipy, and on one thread."""
 
 import ast
 import importlib
@@ -21,7 +21,7 @@ import moefit.estimation as estimation
 from moefit.datagen import gen_three_class
 from moefit.cli import _fit_config, build_parser
 from moefit.estimation import FitConfig, fit, initialize, multi_start_fit
-from moefit.model import Dataset, ExpertDesign
+from moefit.model import FAMILIES, Dataset, ExpertDesign
 from moefit.selection import select_g
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,11 +69,12 @@ def bic_table_header():
     raise AssertionError("parse_bic_table compares the header to no list")
 
 
-def test_bic_table_header_is_the_one_the_benchmark_parses():
+def test_bic_table_header_is_the_one_the_benchmark_parses(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 1))
     data = Dataset(X, 1.0 + X[:, 0] + rng.normal(size=40), "real")
-    table = select_g(data, 1, "gaussian", config=FitConfig(n_starts=1)).to_csv()
+    select_g(data, 1, "gaussian", config=FitConfig(n_starts=1)).to_csv(tmp_path / "t.csv")
+    table = (tmp_path / "t.csv").read_text()
     assert table.splitlines()[0].split(",") == bic_table_header()
 
 
@@ -182,6 +183,25 @@ def test_only_io_parses_csv(module):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert not names & {"csv", "loadtxt", "genfromtxt", "savetxt"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_one_copy_of_each_family_kernel(module):
+    """``model.softplus`` is the one softplus: no module calls numpy's
+    log-add-exp or defines a softplus of its own, and ``estimation`` routes
+    on the family table's flags, never on a family's name."""
+    tree = ast.parse((PACKAGE / module).read_text())
+    nodes = list(ast.walk(tree))
+    assert not [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "logaddexp"]
+    defined = {n.name for n in nodes if isinstance(n, ast.FunctionDef)}
+    defined |= {t.id for n in nodes if isinstance(n, ast.Assign)
+                for t in n.targets if isinstance(t, ast.Name)}
+    if module != "model.py":
+        assert not {name for name in defined if "softplus" in name.lower()}
+    if module == "estimation.py":
+        compared = {c.value for n in nodes if isinstance(n, ast.Compare)
+                    for c in ast.walk(n) if isinstance(c, ast.Constant)}
+        assert not compared & set(FAMILIES)
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))

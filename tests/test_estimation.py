@@ -39,7 +39,7 @@ from moefit.estimation import (
     _glm_ll,
     _joint,
     _newton_gate,
-    _softplus,
+    _random_hard_partition,
     _step_length,
     _weighted_glm_fit,
     _weighted_least_squares,
@@ -58,6 +58,7 @@ from moefit.model import (
     logsumexp,
     permute_components,
     responsibilities,
+    softplus,
 )
 
 
@@ -203,7 +204,7 @@ class TestGatingLine:
     def test_softplus_matches_logaddexp(self):
         u = np.concatenate([np.linspace(-1000.0, 1000.0, 2001),
                             [-1e300, -40.5, 40.5, 1e300]])
-        assert np.allclose(_softplus(u),
+        assert np.allclose(softplus(u),
                            np.logaddexp(0.0, u), rtol=1e-15, atol=1e-300)
 
     # saturated instances: gating rows scaled so that most log-odds pass 40,
@@ -723,6 +724,34 @@ class TestFit:
         assert counts == [0] * (result.cycles_used + 1)  # no gating_line sweep
         self.assert_monotone(result.q_trace)
 
+    def test_ascent_guard_reverts_a_losing_expert_block(self, monkeypatch):
+        # the block's second call in the fit loses Q_n, so cycle 2 keeps the
+        # gate step and restores cycle 1's expert parameters
+        data = two_component_sample("gaussian", 300, seed=3)
+        config = FitConfig(max_cycles=2, rel_tol=1e-15)
+        init = initialize(data, 2, "gaussian", ExpertDesign(), 0, config)
+        one_cycle = fit(data, init, FitConfig(max_cycles=1, rel_tol=1e-15))
+        block = estimation.gaussian_expert_block_update
+        calls = []
+
+        def losing(*args):
+            calls.append(1)
+            beta, sigma2, floored = block(*args)
+            if len(calls) == 2:
+                return beta + 1.0, 4.0 * sigma2, np.ones_like(floored)
+            return beta, sigma2, floored
+
+        monkeypatch.setattr(estimation, "gaussian_expert_block_update", losing)
+        result = fit(data, init, config)
+        assert len(calls) == 2 and result.cycles_used == 2
+        self.assert_monotone(result.q_trace)
+        assert np.array_equal(result.theta.beta, one_cycle.theta.beta)
+        assert np.array_equal(result.theta.sigma2, one_cycle.theta.sigma2)
+        assert not np.array_equal(result.theta.gating, one_cycle.theta.gating)
+        # the reverted block's floored flags do not mark the fit degenerate
+        assert not result.degenerate
+        assert result.q_trace[2] == log_quasi_likelihood(data, result.theta)
+
     def test_responsibilities_well_formed_at_solution(self):
         truth = two_line_truth()
         data = gen_moe_sample(truth, uniform_box_sampler([-3.0], [3.0]), 300, seed=7)
@@ -801,6 +830,16 @@ class TestInitialize:
         assert ok.all()
         assert np.allclose(init.beta[0], plain[0], rtol=0.0, atol=1e-6)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_empty_group_reseeded(self, seed):
+        # copies of two distinct rows: two of the three centers always
+        # coincide, so the later one's group is empty on every k-means pass
+        # and only the reseed fills it
+        X = np.repeat([[0.0], [1.0]], [30, 10], axis=0)
+        data = Dataset(X, X[:, 0] * 2.0, "real")
+        labels = _random_hard_partition(data, 3, np.random.default_rng(seed))
+        assert np.all(np.bincount(labels, minlength=3) > 0)
+
     @pytest.mark.parametrize("g", [1, 2])
     @pytest.mark.parametrize("column", ["collinear", "constant"])
     def test_rank_deficient_design_raises(self, g, column):
@@ -830,6 +869,17 @@ class TestInitialize:
 
 
 class TestMultiStart:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_separable_logistic_fit_stays_silent(self):
+        # scores of several thousand in either sign: the sigmoid of the
+        # Newton block must not overflow
+        x = np.random.default_rng(0).uniform(-200.0, 200.0, size=300)
+        data = Dataset(x[:, None], (x > 0).astype(int), "binary")
+        result = multi_start_fit(data, 1, "logistic",
+                                 config=FitConfig(n_starts=2, max_cycles=50))
+        assert np.all(np.isfinite(result.q_trace)) and result.q_hat <= 0.0
+        TestFit.assert_monotone(result.q_trace)
+
     def test_single_start_equals_fit(self):
         truth = two_line_truth()
         data = gen_moe_sample(truth, uniform_box_sampler([-3.0], [3.0]), 200, seed=8)

@@ -1,5 +1,7 @@
 """Model-core tests: gates, expert densities, mixture density, responsibilities."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -12,6 +14,7 @@ from moefit.model import (
     ExpertDesign,
     ModelError,
     MoeParams,
+    check_compatible,
     expert_log_density_matrix,
     gate_log_probs,
     log_quasi_likelihood,
@@ -314,6 +317,64 @@ class TestExpertDesign:
             ExpertDesign(kind="spline")
 
 
+def multinomial_params(K, beta_shape=(2, 3, 2)):
+    return MoeParams(family="multinomial", gating=np.zeros((2, 2)),
+                     beta=np.zeros(beta_shape), K=K)
+
+
+def gaussian_params(g=2, beta=None, sigma2=(1.0, 1.0), gating=None):
+    return MoeParams(family="gaussian",
+                     gating=np.zeros((g, 2)) if gating is None else gating,
+                     beta=np.zeros((g, 2)) if beta is None else beta,
+                     sigma2=None if sigma2 is None else np.asarray(sigma2))
+
+
+ZEROS = np.zeros((2, 1))
+INVALID_INPUTS = {
+    "poly-degree": (lambda: ExpertDesign("poly", 0), "degree must be >= 1"),
+    "non-integer-count": (lambda: Dataset(ZEROS, [0.5, 1.0], "count"),
+                          "count responses must be integers"),
+    "row-counts": (lambda: Dataset(np.zeros((3, 1)), np.zeros(2), "real"),
+                   "X and y row counts differ"),
+    "non-finite-x": (lambda: Dataset([[np.nan], [0.0]], np.zeros(2), "real"),
+                     "covariates must be finite"),
+    "unknown-kind": (lambda: Dataset(ZEROS, [0, 1], "ordinal"),
+                     "unknown response kind: 'ordinal'"),
+    "non-finite-real-y": (lambda: Dataset(ZEROS, [0.0, np.inf], "real"),
+                          "real responses must be finite"),
+    "negative-count": (lambda: Dataset(ZEROS, [1, -1], "count"),
+                       "count responses must be non-negative"),
+    "non-finite-params": (lambda: gaussian_params(gating=[[np.nan, 0.0], [0.0, 0.0]]),
+                          "parameters must be finite"),
+    "K-missing": (lambda: multinomial_params(None), "multinomial experts require K >= 2"),
+    "K-one": (lambda: multinomial_params(1, (2, 1, 2)),
+              "multinomial experts require K >= 2"),
+    "multinomial-beta": (lambda: multinomial_params(3, (2, 2, 2)),
+                         "multinomial beta must have shape (g, K, d+1)"),
+    "beta-rows": (lambda: gaussian_params(beta=np.zeros((3, 2))),
+                  "beta must have shape (g, d+1)"),
+    "sigma2-missing": (lambda: gaussian_params(sigma2=None),
+                       "gaussian experts require sigma2"),
+    "sigma2-shape": (lambda: gaussian_params(sigma2=(1.0, 1.0, 1.0)),
+                     "sigma2 must have shape (g,)"),
+    "p-mismatch": (lambda: check_compatible(Dataset(np.zeros((2, 2)), np.zeros(2), "real"),
+                                            gaussian_params()),
+                   "dataset has p=2 but model expects p=1"),
+    "K-mismatch": (lambda: check_compatible(Dataset(ZEROS, [1, 2], "categorical", K=4),
+                                            multinomial_params(3)),
+                   "dataset K=4 but model K=3"),
+    "permutation": (lambda: permute_components(gaussian_params(), [0, 0]),
+                    "perm must be a permutation of 0..g-1"),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_INPUTS))
+def test_invalid_model_input_rejected(case):
+    build, message = INVALID_INPUTS[case]
+    with pytest.raises(ModelError, match=re.escape(message)):
+        build()
+
+
 def test_moe_log_density_rows_matches_scalar():
     theta = gaussian_pair()
     data = Dataset(np.array([[0.1], [0.9]]), np.array([1.0, -0.3]), "real")
@@ -389,6 +450,15 @@ class TestFamilyTable:
         L = expert_log_density_matrix(data, theta)
         assert L.shape == (g, n)
         assert L.flags.c_contiguous
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_logistic_mean_matches_expit(self):
+        # the sigmoid as exp(-softplus(-s)) never overflows; below s = -709
+        # it is subnormal where expit flushes it to zero
+        s = np.concatenate([np.random.default_rng(0).normal(size=10_000) * 10.0,
+                            np.linspace(-800.0, 800.0, 1601), [-1e300, 1e300]])[None]
+        got = EXPERT_FAMILIES["logistic"].mean(s)
+        assert np.allclose(got, special.expit(s), rtol=4e-15, atol=1e-300)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ModelError, match="unknown expert family"):

@@ -99,22 +99,24 @@ class TestSelectG:
         g_hat = min(r.g for r in eligible if r.bic <= best + 1e-12 * (1 + abs(best)))
         assert g_hat == 2
 
-    def test_report_csv_shape(self):
+    def test_report_csv_shape(self, tmp_path):
         truth = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
                           beta=np.array([[0.0, 1.0]]), sigma2=np.array([1.0]))
         data = gen_moe_sample(truth, uniform_box_sampler([-2.0], [2.0]), 150, seed=3)
         config = FitConfig(n_starts=2, max_cycles=60)
         report = select_g(data, 2, "gaussian", config=config)
-        lines = report.to_csv().strip().splitlines()
+        report.to_csv(tmp_path / "t.csv")
+        lines = (tmp_path / "t.csv").read_text().strip().splitlines()
         assert lines[0] == "g,logQL,dim,bic,converged,degenerate"
         assert len(lines) == 3
 
-    def test_report_csv_numbers_parse(self):
+    def test_report_csv_numbers_parse(self, tmp_path):
         truth = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
                           beta=np.array([[0.0, 1.0]]), sigma2=np.array([1.0]))
         data = gen_moe_sample(truth, uniform_box_sampler([-2.0], [2.0]), 150, seed=3)
         report = select_g(data, 2, "gaussian", config=FitConfig(n_starts=2, max_cycles=60))
-        for line in report.to_csv().strip().splitlines()[1:]:
+        report.to_csv(tmp_path / "t.csv")
+        for line in (tmp_path / "t.csv").read_text().strip().splitlines()[1:]:
             cells = line.split(",")
             for cell in (cells[1], cells[3]):  # logQL, bic
                 assert np.isfinite(float(cell))
