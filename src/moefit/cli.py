@@ -216,8 +216,6 @@ def cmd_predict(args) -> int:
         if "covariance" not in doc:
             raise UsageError(
                 "mean-ci requires a model saved with --with-covariance")
-        if theta.family != "gaussian":
-            raise UsageError("mean-ci requires gaussian experts")
         cov = np.asarray(doc["covariance"]["matrix"])
         header += ["mean", "lower", "upper"]
         columns += mean_ci_rows(X, theta, cov, args.level)

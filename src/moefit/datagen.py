@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, MoeParams, expert_family, gate_log_probs
+from .model import Dataset, MoeParams, add_intercept, expert_family, gate_log_probs
 
 
 def gen_three_class(n: int, seed: int) -> Dataset:
@@ -54,7 +54,7 @@ def gen_moe_sample(theta: MoeParams, covariate_sampler, n: int, seed: int) -> Da
     # the latent component of each row, drawn like a multinomial response
     z = expert_family("multinomial").sample(rng, gates, None) - 1
     fam = expert_family(theta.family)
-    Dt = np.column_stack([np.ones(n), theta.design.matrix(X)])
+    Dt = add_intercept(theta.design.matrix(X))
     # each row's linear predictor under its own component: (n,), or (n, K)
     mu = fam.mean(np.einsum("nd,n...d->n...", Dt, theta.beta[z]))
     y = fam.sample(rng, mu, theta.sigma2[z] if fam.dispersion else None)

@@ -228,10 +228,7 @@ def gating_curvature_hessian(data: Dataset, theta: MoeParams, z: int) -> np.ndar
 
 
 def variance_floor(data: Dataset) -> float:
-    # np.var's sums, bit for bit, without its call overhead (read every cycle)
-    dev = data.y - np.add.reduce(data.y) / data.n
-    v = float(np.add.reduce(dev * dev)) / data.n
-    return VARIANCE_FLOOR_FACTOR * max(v, np.finfo(float).tiny)
+    return VARIANCE_FLOOR_FACTOR * max(float(np.var(data.y)), np.finfo(float).tiny)
 
 
 def _check_starvation(W: np.ndarray, n: int) -> None:

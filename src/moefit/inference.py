@@ -191,10 +191,9 @@ def mean_ci_rows(X: np.ndarray, theta: MoeParams, cov: np.ndarray,
 
     For the mean m = sum_z pi_z mu_z, dm/d(gating row z) is
     pi_z (mu_z - m) x-tilde and dm/d(beta_z) is pi_z times the expert design
-    row; m does not depend on sigma2.
+    row; m does not depend on sigma2.  ``gate_means`` raises ``ModelError``
+    for experts that are not gaussian.
     """
-    if theta.family != "gaussian":
-        raise InferenceError("mean intervals require gaussian experts")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     X = np.atleast_2d(np.asarray(X, dtype=float))

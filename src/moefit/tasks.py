@@ -11,21 +11,21 @@ from .model import (
     ModelError,
     MoeParams,
     add_intercept,
+    expert_family,
     gate_log_probs,
-    logsumexp,
 )
 
 
 def class_posteriors(X: np.ndarray, theta: MoeParams) -> np.ndarray:
-    """P(Y = k | x) for every row and class, shape (n, K)."""
+    """P(Y = k | x) = sum_z pi_z(x) softmax_k(beta_z . d(x)) for every row
+    and class, shape (n, K)."""
     if theta.family != "multinomial":
         raise ModelError("classification requires multinomial experts")
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    lg = gate_log_probs(X, theta.gating)  # (n, g)
+    gates = np.exp(gate_log_probs(X, theta.gating))  # (n, g)
     Dt = add_intercept(theta.design.matrix(X))
-    scores = np.einsum("nd,gkd->ngk", Dt, theta.beta)
-    scores -= logsumexp(scores, axis=2)[:, :, None]  # log class probabilities
-    post = np.exp(logsumexp(lg[:, :, None] + scores, axis=1))  # (n, K)
+    probs = expert_family("multinomial").mean(theta.beta @ Dt.T)  # (g, K, n)
+    post = np.einsum("ng,gkn->nk", gates, probs)
     return post / post.sum(axis=1, keepdims=True)
 
 

@@ -399,7 +399,8 @@ class TestPredict:
         code = run(["predict", "--model", str(model), "--data", str(data),
                     "--mode", "mean-ci", "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == "error: mean-ci requires gaussian experts\n"
+        assert (capsys.readouterr().err
+                == "error: regression functionals require gaussian experts\n")
         assert not out.exists()
 
     def test_covariate_count_mismatch_exits_2(self, tmp_path, line_model, capsys):

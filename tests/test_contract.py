@@ -188,8 +188,11 @@ def test_only_io_parses_csv(module):
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_one_copy_of_each_family_kernel(module):
     """``model.softplus`` is the one softplus: no module calls numpy's
-    log-add-exp or defines a softplus of its own, and ``estimation`` routes
-    on the family table's flags, never on a family's name."""
+    log-add-exp or defines a softplus of its own.  The package routes on the
+    family table's flags: a family's name is compared only in ``tasks``, by
+    the two refusals (classification needs multinomial experts, the
+    regression functionals gaussian ones), and class posteriors mix the
+    multinomial entry's softmax, with no log-sum-exp of their own."""
     tree = ast.parse((PACKAGE / module).read_text())
     nodes = list(ast.walk(tree))
     assert not [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "logaddexp"]
@@ -198,10 +201,16 @@ def test_one_copy_of_each_family_kernel(module):
                 for t in n.targets if isinstance(t, ast.Name)}
     if module != "model.py":
         assert not {name for name in defined if "softplus" in name.lower()}
-    if module == "estimation.py":
-        compared = {c.value for n in nodes if isinstance(n, ast.Compare)
-                    for c in ast.walk(n) if isinstance(c, ast.Constant)}
-        assert not compared & set(FAMILIES)
+    compares = [n for n in nodes if isinstance(n, ast.Compare) and any(
+        isinstance(c, ast.Constant) and c.value in FAMILIES for c in ast.walk(n))]
+    if module == "tasks.py":
+        refusing = {f.name for f in nodes if isinstance(f, ast.FunctionDef)
+                    for n in ast.walk(f) if n in compares}
+        assert len(compares) == 2 and refusing == {"class_posteriors", "gate_means"}
+        assert not [n for n in nodes if "logsumexp" in (
+            getattr(n, "id", None), getattr(n, "attr", None), getattr(n, "name", None))]
+    else:
+        assert not compares, f"{module} compares a family name"
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))

@@ -8,7 +8,6 @@ from scipy.stats import norm
 from moefit.datagen import gen_moe_sample, gen_three_class, uniform_box_sampler
 from moefit.estimation import FitConfig, fit, initialize, multi_start_fit
 from moefit.inference import (
-    InferenceError,
     _scores,
     flatten_params,
     mean_ci,
@@ -23,6 +22,7 @@ from moefit.inference import (
 from moefit.model import (
     Dataset,
     ExpertDesign,
+    ModelError,
     MoeParams,
     free_class_cov,
     gate_log_probs,
@@ -390,7 +390,7 @@ class TestMeanCi:
     def test_non_gaussian_rejected(self):
         theta = MoeParams(family="logistic", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)))
-        with pytest.raises(InferenceError):
+        with pytest.raises(ModelError, match="require gaussian experts"):
             mean_ci(np.array([0.0]), theta, np.zeros((2, 2)))
 
     def test_bad_level_rejected(self):

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from moefit.datagen import gen_moe_sample, gen_three_class, uniform_box_sampler
-from moefit.estimation import FitConfig, multi_start_fit
+from moefit.estimation import GLM_COEF_CAP, FitConfig, multi_start_fit
 from moefit.model import (
     Dataset,
     ExpertDesign,
     ModelError,
     MoeParams,
+    add_intercept,
     gate_log_probs,
+    logsumexp,
     responsibilities,
 )
 from moefit.tasks import (
@@ -29,6 +31,16 @@ def two_gauss(gate0=0.0, means=(0.0, 2.0), sigma2=(1.0, 1.0)):
         beta=np.array([[means[0], 0.0], [means[1], 0.0]]),
         sigma2=np.array(sigma2, dtype=float),
     )
+
+
+def log_space_class_posteriors(X, theta):
+    """The reference: class posteriors mixed in log space, each expert's log
+    softmax plus its log gate, reduced by log-sum-exp over components."""
+    lg = gate_log_probs(X, theta.gating)
+    scores = np.einsum("nd,gkd->ngk", add_intercept(theta.design.matrix(X)), theta.beta)
+    scores -= logsumexp(scores, axis=2)[:, :, None]
+    post = np.exp(logsumexp(lg[:, :, None] + scores, axis=1))
+    return post / post.sum(axis=1, keepdims=True)
 
 
 class TestClassifyMap:
@@ -73,6 +85,27 @@ class TestClassifyMap:
         post = class_posteriors(rng.normal(size=(50, 2)), theta)
         assert np.all(post >= 0)
         assert np.allclose(post.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_matches_log_space_mixture(self, g):
+        """The gate-weighted family softmax agrees with the log-space mixture
+        log sum_z exp(log pi_z + log softmax_k) on random models and on
+        saturated ones, gating rows scaled by 300 and coefficients clipped
+        at GLM_COEF_CAP as the fit clips them."""
+        rng = np.random.default_rng(g)
+        X = rng.normal(scale=2.0, size=(200, 2))
+        for K in range(2, 6):
+            for scale in (1.0, 300.0):
+                theta = MoeParams(
+                    family="multinomial",
+                    gating=np.vstack([scale * rng.normal(size=(g - 1, 3)), np.zeros(3)]),
+                    beta=np.clip(scale * rng.normal(size=(g, K, 3)),
+                                 -GLM_COEF_CAP, GLM_COEF_CAP), K=K)
+                post = class_posteriors(X, theta)
+                assert np.all(np.isfinite(post))
+                assert np.abs(post - log_space_class_posteriors(X, theta)).max() <= 1e-13
+                assert np.abs(post.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_non_multinomial_rejected(self):
         theta = two_gauss()
