@@ -212,7 +212,8 @@ def cmd_predict(args) -> int:
                    else tasks.predict_variance_rows)
         header += [args.mode]
         columns.append(predict(X, theta))
-    else:  # mean-ci
+    else:  # mean-ci: gate_means refuses experts that are not gaussian first
+        tasks.gate_means(X[:0], theta)
         if "covariance" not in doc:
             raise UsageError(
                 "mean-ci requires a model saved with --with-covariance")

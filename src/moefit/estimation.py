@@ -24,13 +24,14 @@ from .model import (
     canonical_order,
     check_compatible,
     expert_family,
-    expert_log_density_matrix,
+    expert_log_densities,
     free_class_cov,
     gate_log_probs,
     joint_scores,
     kron_gram,
     log_quasi_likelihood,
     logsumexp,
+    outer_rows,
     posterior,
     softplus,
 )
@@ -121,15 +122,14 @@ def _cholesky_solve(A: np.ndarray, b: np.ndarray):
     return x, ok
 
 
-def _weighted_least_squares(Dt: np.ndarray, y: np.ndarray, W: np.ndarray,
-                            ridge: float = 0.0):
-    """Weighted least squares of y on the design Dt, one fit per weight row
-    of W (b, n), all at once.  Returns (beta (b, m), the weighted mean squared
-    residuals (b,), ok (b,)); ``ok`` is False, and the fit NaN, where the
-    weighted Gram matrix (plus ``ridge`` times the identity) is singular."""
-    G = kron_gram(W, np.ones((1, 1, 1, 1)), Dt) + ridge * np.eye(Dt.shape[1])
-    beta, ok = _cholesky_solve(G, (W * y) @ Dt)
-    resid = y - beta @ Dt.T
+def _weighted_least_squares(fd: "_FitData", W: np.ndarray, ridge: float = 0.0):
+    """Weighted least squares of y on the expert design, one fit per weight
+    row of W (b, n), all at once.  Returns (beta (b, m), the weighted mean
+    squared residuals (b,), ok (b,)); ``ok`` is False, and the fit NaN, where
+    the weighted Gram matrix (plus ``ridge`` times the identity) is singular."""
+    G = kron_gram(W, np.ones((1, 1, 1, 1)), fd.Dt, fd.DD) + ridge * np.eye(fd.Dt.shape[1])
+    beta, ok = _cholesky_solve(G, (W * fd.y) @ fd.Dt)
+    resid = fd.y - beta @ fd.Dt.T
     return beta, np.einsum("bn,bn->b", W, resid * resid) / W.sum(axis=1), ok
 
 
@@ -232,140 +232,147 @@ def variance_floor(data: Dataset) -> float:
 
 
 def _check_starvation(W: np.ndarray, n: int) -> None:
-    col = W.sum(axis=1)
-    starved = np.where(col < n * STARVATION_FACTOR)[0]
+    starved = np.flatnonzero(W.sum(axis=1) < n * STARVATION_FACTOR)
     if starved.size:
         raise EmptyComponentError(
             f"component(s) {(starved + 1).tolist()} starved "
-            f"(total responsibility below {n * STARVATION_FACTOR:.3e})"
-        )
+            f"(total responsibility below {n * STARVATION_FACTOR:.3e})")
 
 
-def gaussian_expert_block_update(data: Dataset, theta: MoeParams, W: np.ndarray,
-                                 config: FitConfig | None = None):
-    """Closed-form weighted LS update of all gaussian expert blocks, with the
-    component-major weights ``W`` (g, n); the exact update needs no config.
-
-    Returns (beta, sigma2, floored) where ``floored`` marks the components
-    whose variance was raised to ``variance_floor(data)``.
-    """
-    _check_starvation(W, data.n)
-    Dt = add_intercept(theta.design.matrix(data.X))
-    beta, sigma2, ok = _weighted_least_squares(Dt, data.y, W)
-    if not ok.all():
-        z = int(np.flatnonzero(~ok)[0])
-        raise _rank_deficient(f"weighted Gram matrix of component {z + 1}")
-    floor = variance_floor(data)
-    floored = sigma2 < floor
-    return beta, np.where(floored, floor, sigma2), floored
-
-
-class _GlmData(NamedTuple):
-    """Design and response shared by a batch of weighted GLM expert fits.
-
-    ``DtT`` is the transposed design, so expert scores come out as (b, n), or
-    (b, K, n) for multinomial experts, and every reduction over classes or
-    components runs across whole contiguous rows.
-    """
+class _FitData(NamedTuple):
+    """Constants of one fit, built once per ``fit``: the expert design ``Dt``,
+    its transpose (scores come out (b, n) or (b, K, n), reduced along rows)
+    and ``outer_rows`` table, the response and its ``target`` on the mean's
+    scale, the variance floor, and the gate's X-tilde, its table and weights."""
 
     fam: ExpertFamily
     Dt: np.ndarray
     DtT: np.ndarray
+    DD: np.ndarray
     y: np.ndarray
-    target: np.ndarray  # the response on the scale of the family's mean
+    target: np.ndarray
+    floor: float | None  # of a dispersion family
+    Xt: np.ndarray
+    XX: np.ndarray
+    ones: np.ndarray  # (1, n)
 
     @classmethod
-    def build(cls, family: str, Dt: np.ndarray, y: np.ndarray,
-              K: int | None) -> "_GlmData":
-        fam = expert_family(family)
-        return cls(fam, Dt, np.ascontiguousarray(Dt.T), y, fam.target(y, K))
+    def build(cls, data: Dataset, theta: MoeParams) -> "_FitData":
+        fam = expert_family(theta.family)
+        Dt, Xt = add_intercept(theta.design.matrix(data.X)), add_intercept(data.X)
+        return cls(fam, Dt, np.ascontiguousarray(Dt.T), outer_rows(Dt), data.y,
+                   fam.target(data.y, theta.K),
+                   variance_floor(data) if fam.dispersion else None,
+                   Xt, outer_rows(Xt), np.ones((1, data.n)))
+
+    def log_densities(self, beta: np.ndarray, sigma2=None) -> np.ndarray:
+        return expert_log_densities(self.fam, beta, self.Dt, self.y, sigma2)
 
 
-def _glm_ll(glm: _GlmData, W: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Weighted log-likelihoods of a batch of GLM experts, shape (b,).
+def gaussian_expert_block_update(data: Dataset, theta: MoeParams, W: np.ndarray,
+                                 config: FitConfig | None = None,
+                                 fd: _FitData | None = None, L=None):
+    """Closed-form weighted LS update of all gaussian expert blocks, with the
+    component-major weights ``W`` (g, n); the exact update needs neither
+    config nor the log densities ``L`` at ``theta``.  Returns (beta, sigma2,
+    floored, L at the result), ``floored`` marking the variances floored."""
+    _check_starvation(W, data.n)
+    fd = fd or _FitData.build(data, theta)
+    beta, sigma2, ok = _weighted_least_squares(fd, W)
+    if not ok.all():
+        z = int(np.flatnonzero(~ok)[0])
+        raise _rank_deficient(f"weighted Gram matrix of component {z + 1}")
+    floored = sigma2 < fd.floor
+    sigma2 = np.where(floored, fd.floor, sigma2)
+    return beta, sigma2, floored, fd.log_densities(beta, sigma2)
 
-    ``W`` holds one weight row per expert, (b, n); ``beta`` is (b, d+1), or
-    (b, K, d+1) for multinomial experts with class K pinned at zero.
-    """
-    return np.einsum("bn,bn->b", W, glm.fam.log_density(beta @ glm.DtT, glm.y, None))
+
+def _glm_ll(fd: _FitData, W: np.ndarray, beta: np.ndarray):
+    """Log densities (b, n) and ``W``-weighted log-likelihoods (b,) of the
+    experts ``beta``, (b, d+1) or, for multinomial experts, (b, K, d+1)."""
+    L = fd.log_densities(beta)
+    return L, np.einsum("bn,bn->b", W, L)
 
 
-def _glm_grad_hess(glm: _GlmData, W: np.ndarray, beta: np.ndarray):
+def _glm_grad_hess(fd: _FitData, W: np.ndarray, beta: np.ndarray):
     """Gradients (b, m) and Hessians (b, m, m) of a batch of weighted expert
     log-likelihoods, m being the number of free coefficients per expert."""
     b, n = W.shape
-    mu = glm.fam.mean(beta @ glm.DtT)
-    resid = glm.fam.free_coefs(glm.target - mu)  # (b, free classes, n)
-    grad = (W[:, None, :] * resid).reshape(-1, n) @ glm.Dt
-    return grad.reshape(b, -1), -kron_gram(W, glm.fam.mean_cov(mu), glm.Dt)
+    mu = fd.fam.mean(beta @ fd.DtT)
+    resid = fd.fam.free_coefs(fd.target - mu)  # (b, free classes, n)
+    grad = (W[:, None, :] * resid).reshape(-1, n) @ fd.Dt
+    return grad.reshape(b, -1), -kron_gram(W, fd.fam.mean_cov(mu), fd.Dt, fd.DD)
 
 
-def _weighted_glm_fit(glm: _GlmData, W: np.ndarray, beta0: np.ndarray,
-                      max_inner: int):
+def _weighted_glm_fit(fd: _FitData, W: np.ndarray, beta0: np.ndarray,
+                      L0: np.ndarray, max_inner: int):
     """Newton steps with step-halving on a batch of weighted expert
-    log-likelihoods, one expert per row of ``W`` and ``beta0``.
+    log-likelihoods, one expert per row of ``W``, ``beta0`` and its ``L0``.
 
     The experts are independent, and boolean masks track which still move.
     Each Newton iteration solves the whole batch in one batched solve; an
     expert stops once its gradient vanishes, its step is not finite, or no
     halved step improves it.  Step-halving prices each trial on the whole
-    batch and accepts a ``pending`` expert on its own log-likelihood.
-    Returns (beta, capped) where ``capped`` (b,) marks experts clipped at the
-    separation cap on the linear-predictor scale.
+    batch and accepts a ``pending`` expert, with its row of log densities,
+    on its own log-likelihood.  Returns (beta, L at beta, capped), ``capped``
+    marking experts clipped at the separation cap on the linear-predictor scale.
     """
-    beta = beta0.copy()
-    ll = _glm_ll(glm, W, beta)
+    ll0 = np.einsum("bn,bn->b", W, L0)
+    beta, L, ll = beta0.copy(), L0.copy(), ll0.copy()
     active = np.ones(len(beta), dtype=bool)
     for _ in range(max_inner):
-        grad, hess = _glm_grad_hess(glm, W, beta)
+        grad, hess = _glm_grad_hess(fd, W, beta)
         # a system that is not positive definite gives a NaN step, which
         # stops only its own expert
         delta, _ = _cholesky_solve(-hess + 1e-10 * np.eye(hess.shape[1]), grad)
         active &= np.abs(grad).max(axis=1) >= 1e-9 * (1.0 + np.abs(ll))
         active &= np.all(np.isfinite(delta), axis=1)
-        delta = delta.reshape(len(beta), -1, glm.Dt.shape[1])  # per free class
+        delta = delta.reshape(len(beta), -1, fd.Dt.shape[1])  # per free class
         improved = np.zeros_like(active)
         pending = active.copy()
         for step in 0.5 ** np.arange(30.0):
             if not pending.any():
                 break
             cand = beta.copy()
-            glm.fam.free_coefs(cand)[...] += step * delta
+            fd.fam.free_coefs(cand)[...] += step * delta
             # a trial step may overflow a poisson mean; np.isfinite below
             # rejects it
             with np.errstate(over="ignore"):
-                ll_new = _glm_ll(glm, W, cand)
+                L_new, ll_new = _glm_ll(fd, W, cand)
             ok = pending & np.isfinite(ll_new) & (
                 ll_new >= ll - 1e-12 * (1.0 + np.abs(ll)))
             improved |= ok & (ll_new > ll)
-            beta[ok], ll[ok] = cand[ok], ll_new[ok]
+            beta[ok], ll[ok], L[ok] = cand[ok], ll_new[ok], L_new[ok]
             pending &= ~ok
         active &= improved
         if not active.any():
             break
-    capped = glm.fam.separable & (
+    capped = fd.fam.separable & (
         np.abs(beta).reshape(len(beta), -1).max(axis=1) > GLM_COEF_CAP)
     if capped.any():
-        # clipping keeps a pinned zero class at zero
-        clipped = np.clip(beta[capped], -GLM_COEF_CAP, GLM_COEF_CAP)
-        # keep a clipped solution only if it still improves on the start
-        keep = _glm_ll(glm, W[capped], clipped) >= _glm_ll(glm, W[capped], beta0[capped])
-        keep = keep.reshape((-1,) + (1,) * (beta.ndim - 1))
-        beta[capped] = np.where(keep, clipped, beta0[capped])
-    return beta, capped
+        # clipping keeps a pinned zero class at zero; a clipped solution is
+        # kept only if it still improves on the start
+        beta[capped] = np.clip(beta[capped], -GLM_COEF_CAP, GLM_COEF_CAP)
+        L_clip, ll_clip = _glm_ll(fd, W, beta)
+        keep = capped & (ll_clip >= ll0)
+        back = capped & ~keep
+        L[keep], beta[back], L[back] = L_clip[keep], beta0[back], L0[back]
+    return beta, L, capped
 
 
 def glm_expert_block_update(data: Dataset, theta: MoeParams, W: np.ndarray,
-                            config: FitConfig | None = None):
+                            config: FitConfig | None = None,
+                            fd: _FitData | None = None, L=None):
     """Newton update (``config.irls_max_inner`` steps at most) of all GLM
-    expert blocks, with the component-major weights ``W`` (g, n); returns
-    (beta, None, capped), ``capped`` marking experts clipped at GLM_COEF_CAP."""
+    expert blocks, with the component-major weights ``W`` (g, n), from the
+    log densities ``L`` at ``theta``; returns (beta, None, capped, L) with
+    ``capped`` marking experts clipped at GLM_COEF_CAP and L at beta."""
     _check_starvation(W, data.n)
-    glm = _GlmData.build(theta.family, add_intercept(theta.design.matrix(data.X)),
-                         data.y, theta.K)
-    beta, capped = _weighted_glm_fit(glm, W, theta.beta,
-                                     (config or FitConfig()).irls_max_inner)
-    return beta, None, capped
+    fd = fd or _FitData.build(data, theta)
+    L = fd.log_densities(theta.beta) if L is None else L
+    beta, L, capped = _weighted_glm_fit(fd, W, theta.beta, L,
+                                        (config or FitConfig()).irls_max_inner)
+    return beta, None, capped, L
 
 
 def _joint(JS: np.ndarray, L: np.ndarray):
@@ -377,7 +384,7 @@ def _joint(JS: np.ndarray, L: np.ndarray):
 
 
 def _newton_gate(JS: np.ndarray, L: np.ndarray, tau: np.ndarray, q: float,
-                 Xt: np.ndarray, gating: np.ndarray):
+                 fd: _FitData, gating: np.ndarray):
     """One guarded Newton step of the g-1 free ``gating`` rows at once on the
     gate's EM surrogate sum tau log pi (the IRLS gate of Jordan & Jacobs
     1994), moving ``gating`` and the gating scores JS[1] in place.  Trial
@@ -386,12 +393,12 @@ def _newton_gate(JS: np.ndarray, L: np.ndarray, tau: np.ndarray, q: float,
     not positive definite, nothing moves.  Returns tau and Q_n after the step."""
     S = JS[1]
     pi = np.exp(S - logsumexp(S))
-    grad = (tau - pi)[:-1] @ Xt
-    hess = kron_gram(np.ones((1, len(Xt))), free_class_cov(pi[None]), Xt)
+    grad = (tau - pi)[:-1] @ fd.Xt
+    hess = kron_gram(fd.ones, free_class_cov(pi[None]), fd.Xt, fd.XX)
     step, ok = _cholesky_solve(hess, grad.reshape(1, -1))
     if ok[0]:
         delta = step.reshape(grad.shape)
-        drow = delta @ Xt.T
+        drow = delta @ fd.Xt.T
         start = S[:-1].copy()
         for t in 0.5 ** np.arange(30.0):
             np.add(start, t * drow, out=S[:-1])
@@ -408,9 +415,9 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
         seed_used: int = 0) -> FitResult:
     """Run the blockwise-MM algorithm from ``init`` until convergence.
 
-    Expert parameters are fixed during the gating update, so the expert
-    log-density matrix is computed once per cycle and reused by every gating
-    trial, which moves the posterior kernel's scores ``JS`` in place.
+    The data's constants (``_FitData``) are built once.  The expert log
+    densities L ride through the cycle: every gating trial reuses them, moving
+    ``JS`` in place, and the expert block starts from L and returns its update.
 
     Gaussian fits take one guarded Newton step per cycle over all g-1 free
     gating rows (``_newton_gate``).  GLM fits sweep the gating rows
@@ -428,9 +435,9 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     g = theta.g
     # the GLM sweep's step matrix; building it checks the gating design's rank
     M = _gating_step_matrix(data) if g > 1 else None
-    dispersion = expert_family(theta.family).dispersion
+    fd = _FitData.build(data, theta)
+    dispersion, Xt = fd.fam.dispersion, fd.Xt
     block = gaussian_expert_block_update if dispersion else glm_expert_block_update
-    Xt = add_intercept(data.X)
     JS, L = joint_scores(data, theta)
     J, S = JS  # views: the joint and the gating scores
     tau, q = _joint(JS, L)
@@ -461,10 +468,9 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
                             q_cur += value
                 tau, q_cur = _joint(JS, L)
             elif g > 1:
-                tau, q_cur = _newton_gate(JS, L, tau, q, Xt, theta.gating)
+                tau, q_cur = _newton_gate(JS, L, tau, q, fd, theta.gating)
             old = theta.beta, theta.sigma2, L
-            theta.beta, theta.sigma2, flagged = block(data, theta, tau, config)
-            L = expert_log_density_matrix(data, theta)
+            theta.beta, theta.sigma2, flagged, L = block(data, theta, tau, config, fd, L)
             tau, q_new = _joint(JS, L)
             # ascent guard: a capped or stalled Newton solve must not lose ground
             if q_new < q_cur - 1e-10 * (1.0 + abs(q_cur)):
@@ -555,14 +561,14 @@ def initialize(data: Dataset, g: int, family: str, design: ExpertDesign,
     labels = _random_hard_partition(data, g, np.random.default_rng(seed))
     W = (labels[None, :] == np.arange(g)[:, None]).astype(float)
     block = gaussian_expert_block_update if fam.dispersion else glm_expert_block_update
+    fd = _FitData.build(data, theta)
     try:
-        theta.beta, theta.sigma2, _ = block(data, theta, W, config)
+        theta.beta, theta.sigma2, _, _ = block(data, theta, W, config, fd)
     except RankDeficientError:
-        beta, sigma2, ok = _weighted_least_squares(
-            add_intercept(design.matrix(data.X)), data.y, W, ridge=1e-8)
+        beta, sigma2, ok = _weighted_least_squares(fd, W, ridge=1e-8)
         if not ok.all():
             raise _rank_deficient("ridged init Gram")
-        theta.beta, theta.sigma2 = beta, np.maximum(sigma2, variance_floor(data))
+        theta.beta, theta.sigma2 = beta, np.maximum(sigma2, fd.floor)
     return theta
 
 

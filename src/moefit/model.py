@@ -102,14 +102,20 @@ def free_class_cov(P: np.ndarray) -> np.ndarray:
     return P[:, :, None] * (np.eye(P.shape[1])[:, :, None] - P[:, None])
 
 
-def kron_gram(W: np.ndarray, V: np.ndarray, D: np.ndarray) -> np.ndarray:
+def outer_rows(D: np.ndarray) -> np.ndarray:
+    """The outer products d_i d_i^T of design rows D (n, d), as (n, d*d)."""
+    return (D[:, :, None] * D[:, None, :]).reshape(len(D), -1)
+
+
+def kron_gram(W: np.ndarray, V: np.ndarray, D: np.ndarray,
+              DD: np.ndarray | None = None) -> np.ndarray:
     """Weighted Kronecker Grams sum_i W[b, i] V[b, :, :, i] (x) d_i d_i^T,
     (b, k*d, k*d), for W (b, n), V (b, k, k, n) or broadcastable to it, and
     design rows D (n, d); rows and columns run class-major, as in a raveled
-    free coefficient block (k, d)."""
-    (b, n), k = W.shape, V.shape[1]
-    d = D.shape[1]
-    DD = (D[:, :, None] * D[:, None, :]).reshape(n, d * d)
+    free coefficient block (k, d).  ``DD`` is ``outer_rows(D)``, built here
+    unless a caller that reuses D passes it."""
+    (b, n), k, d = W.shape, V.shape[1], D.shape[1]
+    DD = outer_rows(D) if DD is None else DD
     G = ((W[:, None, None, :] * V).reshape(-1, n) @ DD).reshape(b, k, k, d, d)
     return G.transpose(0, 1, 3, 2, 4).reshape(b, k * d, k * d)
 
@@ -361,12 +367,19 @@ def gate_log_probs(X: np.ndarray, gating: np.ndarray) -> np.ndarray:
     return S - logsumexp(S, axis=1)[:, None]
 
 
+def expert_log_densities(fam: ExpertFamily, beta: np.ndarray, Dt: np.ndarray,
+                         y: np.ndarray, sigma2) -> np.ndarray:
+    """Log densities (b, n), C order, of the experts ``beta`` on the design
+    ``Dt``: the one evaluation behind every expert log density of a fit."""
+    return np.ascontiguousarray(fam.log_density(beta @ Dt.T, y, sigma2))
+
+
 def expert_log_density_matrix(data: Dataset, theta: MoeParams) -> np.ndarray:
     """Per-component, per-row expert log densities, shape (g, n), C order."""
     check_compatible(data, theta)
-    Dt = add_intercept(theta.design.matrix(data.X))
-    ll = expert_family(theta.family).log_density(theta.beta @ Dt.T, data.y, theta.sigma2)
-    return np.ascontiguousarray(ll)
+    return expert_log_densities(expert_family(theta.family), theta.beta,
+                                add_intercept(theta.design.matrix(data.X)),
+                                data.y, theta.sigma2)
 
 
 def joint_scores(data: Dataset, theta: MoeParams):

@@ -403,6 +403,24 @@ class TestPredict:
                 == "error: regression functionals require gaussian experts\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", ["multinomial", "logistic"])
+    def test_mean_ci_refuses_the_family_before_the_covariance(self, tmp_path,
+                                                              capsys, family):
+        # a model saved without --with-covariance that the flag would not
+        # help: the family refusal comes first
+        beta = np.zeros((1, 3, 2)) if family == "multinomial" else np.zeros((1, 2))
+        theta = MoeParams(family=family, gating=np.zeros((1, 2)), beta=beta,
+                          K=3 if family == "multinomial" else None)
+        model, out = tmp_path / "m.json", tmp_path / "p.csv"
+        save_model(model, theta)
+        code = run(["predict", "--model", str(model),
+                    "--data", str(self.covariates_csv(tmp_path, [0.0, 1.0])),
+                    "--mode", "mean-ci", "--out", str(out)])
+        assert code == 2
+        assert (capsys.readouterr().err
+                == "error: regression functionals require gaussian experts\n")
+        assert not out.exists()
+
     def test_covariate_count_mismatch_exits_2(self, tmp_path, line_model, capsys):
         data = tmp_path / "d.csv"
         data.write_text("x1,x2,y\n0.0,0.0,0.0\n")

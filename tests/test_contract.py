@@ -2,7 +2,7 @@
 the BIC table has the header the benchmark parses, the CLI accepts the fit
 flags the benchmark passes, the benchmark's fit collector sees one ``fit``
 call per start, both expert blocks share one contract and are called once
-per start and cycle, no module of the package imports a name it never uses,
+per start and cycle, a fit builds its data constants once, no module of the package imports a name it never uses,
 only ``io`` reads or writes CSV, each family kernel has one copy, and the
 package runs on numpy alone, without scipy, and on one thread."""
 
@@ -115,7 +115,7 @@ EXPERT_BLOCKS = ("gaussian_expert_block_update", "glm_expert_block_update")
 def test_expert_blocks_share_one_signature():
     params = [list(inspect.signature(getattr(estimation, name)).parameters)
               for name in EXPERT_BLOCKS]
-    assert params == [["data", "theta", "W", "config"]] * 2
+    assert params == [["data", "theta", "W", "config", "fd", "L"]] * 2
 
 
 @pytest.mark.parametrize("family", ["gaussian", "multinomial"])
@@ -148,6 +148,36 @@ def test_expert_block_called_once_by_initialize_and_once_per_cycle(monkeypatch, 
     assert result.cycles_used == k
     used = EXPERT_BLOCKS[family != "gaussian"]
     assert calls == {name: (1 + k if name == used else 0) for name in EXPERT_BLOCKS}
+
+
+@pytest.mark.parametrize("family", ["gaussian", "multinomial"])
+def test_fit_builds_its_data_constants_once(monkeypatch, family):
+    """The per-fit constants (``_FitData``) and the variance floor are built
+    once per fit, not once per cycle."""
+    if family == "multinomial":
+        data = gen_three_class(300, seed=3)
+    else:
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-3.0, 3.0, size=300)
+        data = Dataset(x[:, None], np.where(x > 0, 2.0 * x, -x) + rng.normal(size=300),
+                       "real")
+    config = FitConfig(max_cycles=50, rel_tol=1e-15)
+    init = initialize(data, 3, family, ExpertDesign(), 0, config)
+    calls = {"build": 0, "variance_floor": 0}
+    build, floor = estimation._FitData.build, estimation.variance_floor
+
+    def counted_build(cls, *args):
+        calls["build"] += 1
+        return build(*args)
+
+    def counted_floor(*args):
+        calls["variance_floor"] += 1
+        return floor(*args)
+
+    monkeypatch.setattr(estimation._FitData, "build", classmethod(counted_build))
+    monkeypatch.setattr(estimation, "variance_floor", counted_floor)
+    assert fit(data, init, config).cycles_used == 50
+    assert calls["build"] == 1 and calls["variance_floor"] <= 1
 
 
 def unused_imports(path: Path) -> list[str]:

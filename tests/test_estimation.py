@@ -1,5 +1,7 @@
 """Estimation tests: block updates, minorization, fitting, initialization."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from moefit.datagen import (
 from moefit.estimation import (
     GATING_ROUNDS,
     GATING_STEP_CAP,
+    GLM_COEF_CAP,
     EmptyComponentError,
     EstimationError,
     FitConfig,
@@ -34,7 +37,7 @@ from moefit.estimation import (
 )
 from moefit.estimation import (
     _cholesky_solve,
-    _GlmData,
+    _FitData,
     _glm_grad_hess,
     _glm_ll,
     _joint,
@@ -105,6 +108,18 @@ def short_fit_sample(family, n=200):
         return Dataset(X, (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(int),
                        "binary")
     return Dataset(X, rng.poisson(np.exp(0.5 * eta)), "count")
+
+
+def fit_data(family, Dt, y, K=None):
+    """The per-fit constants of a raw expert design Dt, intercept column
+    first, and a response y of the expert family ``family``."""
+    data = Dataset(Dt[:, 1:], y, EXPERT_FAMILIES[family].kind, K=K)
+    return _FitData.build(data, SimpleNamespace(family=family, design=ExpertDesign(), K=K))
+
+
+def glm_fit(fd, W, beta0, max_inner):
+    """``_weighted_glm_fit`` from beta0 and its log densities."""
+    return _weighted_glm_fit(fd, W, beta0, fd.log_densities(beta0), max_inner)
 
 
 # q_trace of initialize(g=3, seed=0) then fit(max_cycles=3) on
@@ -296,17 +311,17 @@ class TestNewtonGate:
         of the step with the true solve."""
         data = short_fit_sample("gaussian")
         init = initialize(data, 3, "gaussian", ExpertDesign(), seed=0)
-        Xt = add_intercept(data.X)
+        fd = _FitData.build(data, init)
         JS, L = joint_scores(data, init)
         tau, q = _joint(JS, L)
         full = init.gating.copy()
-        _newton_gate(JS.copy(), L, tau, q, Xt, full)
+        _newton_gate(JS.copy(), L, tau, q, fd, full)
         if solve is not None:
             true_solve = estimation._cholesky_solve
             monkeypatch.setattr(estimation, "_cholesky_solve",
                                 lambda A, b: cls.SOLVES[solve](*true_solve(A, b)))
         gating, before = init.gating.copy(), JS.copy()
-        _, q_new = _newton_gate(JS, L, tau, q, Xt, gating)
+        _, q_new = _newton_gate(JS, L, tau, q, fd, gating)
         return q, (before, JS), (init.gating, gating), q_new, full - init.gating
 
     def test_full_step_taken(self, monkeypatch):
@@ -367,8 +382,8 @@ class TestGaussianExpertBlockUpdate:
         data = Dataset(X, y, "real")
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 3)),
                           beta=np.zeros((1, 3)), sigma2=np.array([1.0]))
-        beta, sigma2, floored = gaussian_expert_block_update(data, theta,
-                                                             np.ones((1, 50)))
+        beta, sigma2, floored, _ = gaussian_expert_block_update(data, theta,
+                                                                np.ones((1, 50)))
         Xt = np.column_stack([np.ones(50), X])
         bols = np.linalg.lstsq(Xt, y, rcond=None)[0]
         assert np.allclose(beta[0], bols, atol=1e-8)
@@ -381,8 +396,8 @@ class TestGaussianExpertBlockUpdate:
         data = Dataset(X, y, "real")
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)), sigma2=np.array([1.0]))
-        beta, sigma2, floored = gaussian_expert_block_update(data, theta,
-                                                             np.ones((1, 10)))
+        beta, sigma2, floored, _ = gaussian_expert_block_update(data, theta,
+                                                                np.ones((1, 10)))
         assert np.allclose(beta[0], [1.0, 2.0], atol=1e-10)
         assert sigma2[0] == variance_floor(data)
         assert floored[0]
@@ -394,8 +409,8 @@ class TestGaussianExpertBlockUpdate:
         data = Dataset(X, y, "real")
         theta = MoeParams(family="gaussian", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)), sigma2=np.array([1.0]))
-        b1, _, _ = gaussian_expert_block_update(data, theta, np.ones((1, 30)))
-        b2, _, _ = gaussian_expert_block_update(data, theta, np.full((1, 30), 0.37))
+        b1 = gaussian_expert_block_update(data, theta, np.ones((1, 30)))[0]
+        b2 = gaussian_expert_block_update(data, theta, np.full((1, 30), 0.37))[0]
         assert np.allclose(b1, b2, atol=1e-10)
 
     def test_batched_matches_component_loop(self):
@@ -405,7 +420,7 @@ class TestGaussianExpertBlockUpdate:
         y = rng.normal(size=n)
         W = rng.uniform(0.0, 1.0, size=(4, n))
         W[3] = rng.integers(0, 2, size=n)  # hard weights, as at initialization
-        beta, s2, ok = _weighted_least_squares(Dt, y, W)
+        beta, s2, ok = _weighted_least_squares(fit_data("gaussian", Dt, y), W)
         assert ok.all()
         for w, b, v in zip(W, beta, s2):
             ref = np.linalg.lstsq(Dt * np.sqrt(w)[:, None], y * np.sqrt(w),
@@ -424,11 +439,11 @@ class TestGaussianExpertBlockUpdate:
                           beta=np.zeros((2, 2)), sigma2=np.ones(2))
         with pytest.raises(RankDeficientError, match="component 2"):
             gaussian_expert_block_update(data, theta, W)
-        Dt = add_intercept(X)
-        beta, _, ok = _weighted_least_squares(Dt, data.y, W)
+        fd = _FitData.build(data, theta)
+        beta, _, ok = _weighted_least_squares(fd, W)
         assert ok.tolist() == [True, False]
         assert np.all(np.isnan(beta[1])) and np.all(np.isfinite(beta[0]))
-        _, _, ok = _weighted_least_squares(Dt, data.y, W, ridge=1e-8)
+        _, _, ok = _weighted_least_squares(fd, W, ridge=1e-8)
         assert ok.all()
 
     def test_starved_component_raises(self):
@@ -444,7 +459,7 @@ class TestGlmExpertBlockUpdate:
         data = Dataset(np.zeros((10, 0)), np.array([0, 1] * 5), "binary")
         theta = MoeParams(family="logistic", gating=np.zeros((1, 1)),
                           beta=np.array([[0.5]]))
-        beta, _, _ = glm_expert_block_update(data, theta, np.ones((1, 10)))
+        beta = glm_expert_block_update(data, theta, np.ones((1, 10)))[0]
         assert beta[0, 0] == pytest.approx(0.0, abs=1e-8)
 
     def test_poisson_intercept_log_mean(self):
@@ -452,7 +467,7 @@ class TestGlmExpertBlockUpdate:
         data = Dataset(np.zeros((6, 0)), y, "count")
         theta = MoeParams(family="poisson", gating=np.zeros((1, 1)),
                           beta=np.array([[0.0]]))
-        beta, _, _ = glm_expert_block_update(data, theta, np.ones((1, 6)))
+        beta = glm_expert_block_update(data, theta, np.ones((1, 6)))[0]
         assert beta[0, 0] == pytest.approx(np.log(y.mean()), abs=1e-8)
 
     def test_random_instance_ascent(self, family="logistic"):
@@ -475,7 +490,7 @@ class TestGlmExpertBlockUpdate:
                            rng.integers(1, 4, size=60), "categorical", K=3)
         q_before = log_quasi_likelihood(data, theta)
         tau = responsibilities(data, theta)
-        beta, _, _ = glm_expert_block_update(data, theta, tau.T, FitConfig())
+        beta = glm_expert_block_update(data, theta, tau.T, FitConfig())[0]
         after = theta.copy()
         after.beta = beta
         q_after = log_quasi_likelihood(data, after)
@@ -490,8 +505,7 @@ class TestGlmExpertBlockUpdate:
                 1 + abs(w @ ll_before[z]))
             solo = MoeParams(family=family, gating=np.zeros((1, 2)),
                              beta=theta.beta[z:z + 1], K=theta.K)
-            beta_z, _, _ = glm_expert_block_update(data, solo, w[None, :],
-                                                   FitConfig())
+            beta_z = glm_expert_block_update(data, solo, w[None, :], FitConfig())[0]
             assert np.allclose(beta_z[0], beta[z], rtol=1e-10, atol=1e-12)
 
     def test_random_instance_ascent_multinomial(self):
@@ -514,7 +528,7 @@ class TestGlmExpertBlockUpdate:
         else:
             y = rng.integers(0, 2 if family == "logistic" else 5, size=n)
             beta = 0.5 * rng.normal(size=(b, 3))
-        glm = _GlmData.build(family, Dt, y, 3 if family == "multinomial" else None)
+        glm = fit_data(family, Dt, y, 3 if family == "multinomial" else None)
         W = rng.uniform(0.1, 1.0, size=(b, n))
         grad, hess = _glm_grad_hess(glm, W, beta)
         log_density = EXPERT_FAMILIES[family].log_density
@@ -547,20 +561,20 @@ class TestGlmExpertBlockUpdate:
         x = rng.normal(size=n)
         Dt = np.column_stack([np.ones(n), x])
         y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-0.5 - x))).astype(int)
-        glm = _GlmData.build("logistic", Dt, y, None)
+        glm = fit_data("logistic", Dt, y)
         W = rng.uniform(0.1, 1.0, size=(3, n))
-        opt, _ = _weighted_glm_fit(glm, W[:1], np.zeros((1, 2)), 50)
+        opt = glm_fit(glm, W[:1], np.zeros((1, 2)), 50)[0]
         beta0 = np.array([opt[0], [6.0, -6.0], [0.0, 0.0]])
         grad, hess = _glm_grad_hess(glm, W, beta0)
-        ll = _glm_ll(glm, W, beta0)
+        _, ll = _glm_ll(glm, W, beta0)
         assert np.abs(grad[0]).max() < 1e-9 * (1.0 + abs(ll[0]))
         delta, _ = _cholesky_solve(-hess, grad)
-        assert _glm_ll(glm, W, beta0 + delta)[1] < ll[1]
+        assert _glm_ll(glm, W, beta0 + delta)[1][1] < ll[1]
 
         def solo(z, max_inner=25):
-            return _weighted_glm_fit(glm, W[z:z + 1], beta0[z:z + 1], max_inner)[0][0]
+            return glm_fit(glm, W[z:z + 1], beta0[z:z + 1], max_inner)[0][0]
 
-        beta, capped = _weighted_glm_fit(glm, W, beta0, 25)
+        beta, _, capped = glm_fit(glm, W, beta0, 25)
         assert not capped.any()
         assert np.array_equal(beta[0], beta0[0])
         for z in range(3):
@@ -598,7 +612,7 @@ class TestGlmExpertBlockUpdate:
         data = Dataset(X, y, "binary")
         theta = MoeParams(family="logistic", gating=np.zeros((1, 2)),
                           beta=np.zeros((1, 2)))
-        beta, sigma2, capped = glm_expert_block_update(
+        beta, sigma2, capped, _ = glm_expert_block_update(
             data, theta, np.ones((1, 20)), FitConfig(irls_max_inner=200))
         assert sigma2 is None and capped.tolist() == [True]
         assert np.max(np.abs(beta)) <= 30.0 + 1e-12
@@ -734,12 +748,17 @@ class TestFit:
         block = estimation.gaussian_expert_block_update
         calls = []
 
-        def losing(*args):
+        def losing(data, theta, *rest):
             calls.append(1)
-            beta, sigma2, floored = block(*args)
+            beta, sigma2, floored, L = block(data, theta, *rest)
             if len(calls) == 2:
-                return beta + 1.0, 4.0 * sigma2, np.ones_like(floored)
-            return beta, sigma2, floored
+                # the block's contract: L holds the log densities of the
+                # parameters it returns
+                lost = theta.copy()
+                lost.beta, lost.sigma2 = beta + 1.0, 4.0 * sigma2
+                return (lost.beta, lost.sigma2, np.ones_like(floored),
+                        expert_log_density_matrix(data, lost))
+            return beta, sigma2, floored, L
 
         monkeypatch.setattr(estimation, "gaussian_expert_block_update", losing)
         result = fit(data, init, config)
@@ -760,6 +779,88 @@ class TestFit:
                      config)
         tau = responsibilities(data, result.theta)
         assert np.allclose(tau.sum(axis=1), 1.0, atol=1e-12)
+
+
+def separable_sample(family):
+    """Data whose classes a linear score separates, so the GLM block clips
+    experts at GLM_COEF_CAP."""
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-3.0, 3.0, size=(200, 2))
+    if family == "logistic":
+        return Dataset(X[:, :1], (X[:, 0] > 0.0).astype(int), "binary")
+    y = 1 + (X[:, 0] > -1.0).astype(int) + (X[:, 0] > 1.0).astype(int)
+    return Dataset(X, y, "categorical", K=3)
+
+
+class TestCarriedLogDensities:
+    """``fit`` carries the expert log densities L through its cycles instead
+    of recomputing them; every L it hands the posterior kernel must equal
+    ``expert_log_density_matrix`` at the fit's current parameters, bit for
+    bit."""
+
+    @staticmethod
+    def checked_fit(monkeypatch, data, g, family, config, lose_on_call=None):
+        """Fit from ``initialize`` with every ``_joint`` call checked.  The
+        fit's parameters are read from the ``theta`` it passes its expert
+        block; ``lose_on_call`` makes that block call return worse
+        parameters (with their own L), which the ascent guard reverts.
+        Returns the result, the number of checked calls and the block's
+        flags per call."""
+        init = initialize(data, g, family, ExpertDesign(), 0, config)
+        name = ("gaussian_expert_block_update" if family == "gaussian"
+                else "glm_expert_block_update")
+        block, joint = getattr(estimation, name), estimation._joint
+        live, flags, checked = [], [], [0]
+
+        def watched(data, theta, *rest):
+            live[:] = [theta]
+            beta, sigma2, flagged, L = block(data, theta, *rest)
+            flags.append(flagged)
+            if len(flags) == lose_on_call:
+                lost = theta.copy()
+                lost.beta, lost.sigma2 = beta.copy(), sigma2
+                lost.beta[:, 0] += 1.0  # the intercepts, or class 1's row
+                return lost.beta, sigma2, flagged, expert_log_density_matrix(data, lost)
+            return beta, sigma2, flagged, L
+
+        def checking(JS, L):
+            if live:
+                assert np.array_equal(L, expert_log_density_matrix(data, live[0]))
+                checked[0] += 1
+            return joint(JS, L)
+
+        monkeypatch.setattr(estimation, name, watched)
+        monkeypatch.setattr(estimation, "_joint", checking)
+        return fit(data, init, config), checked[0], flags
+
+    @pytest.mark.parametrize("family", list(PINNED_SHORT_FITS))
+    def test_every_family(self, monkeypatch, family):
+        result, checked, _ = self.checked_fit(
+            monkeypatch, short_fit_sample(family), 3, family,
+            FitConfig(max_cycles=25, rel_tol=1e-15))
+        assert result.cycles_used == 25 and checked >= 25
+
+    @pytest.mark.parametrize("family, g", [("logistic", 1), ("multinomial", 2)])
+    def test_clipped_experts(self, monkeypatch, family, g):
+        result, checked, flags = self.checked_fit(
+            monkeypatch, separable_sample(family), g, family,
+            FitConfig(max_cycles=10, rel_tol=1e-15))
+        assert flags[0].any() and checked >= result.cycles_used
+        assert np.abs(result.theta.beta).max() == GLM_COEF_CAP
+
+    @pytest.mark.parametrize("family", ["gaussian", "multinomial"])
+    def test_cycle_reverted_by_the_ascent_guard(self, monkeypatch, family):
+        data = two_component_sample(family, 300, seed=3)
+        config = FitConfig(max_cycles=4, rel_tol=1e-15)
+        init = initialize(data, 2, family, ExpertDesign(), 0, config)
+        two_cycles = fit(data, init, FitConfig(max_cycles=2, rel_tol=1e-15))
+        result, checked, _ = self.checked_fit(monkeypatch, data, 2, family, config,
+                                              lose_on_call=2)
+        assert result.cycles_used == 4 and checked >= 4
+        # the losing block of cycle 2 was reverted, so Q_n fell behind the
+        # plain fit's cycle 2 but never below cycle 1's
+        assert result.q_trace[1] == two_cycles.q_trace[1]
+        assert two_cycles.q_trace[2] > result.q_trace[2] >= result.q_trace[1]
 
 
 class TestInitialize:
@@ -826,7 +927,7 @@ class TestInitialize:
         assert np.all(np.isfinite(init.beta)) and np.all(np.isfinite(init.sigma2))
         assert np.all(init.sigma2 >= variance_floor(data))
         W = (labels == 0).astype(float)[None, :]
-        plain, _, ok = _weighted_least_squares(add_intercept(X), data.y, W)
+        plain, _, ok = _weighted_least_squares(_FitData.build(data, init), W)
         assert ok.all()
         assert np.allclose(init.beta[0], plain[0], rtol=0.0, atol=1e-6)
 

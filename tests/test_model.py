@@ -16,12 +16,16 @@ from moefit.model import (
     MoeParams,
     check_compatible,
     expert_log_density_matrix,
+    free_class_cov,
     gate_log_probs,
+    kron_gram,
     log_quasi_likelihood,
     moe_log_density,
     moe_log_density_rows,
+    outer_rows,
     permute_components,
     responsibilities,
+    softmax,
 )
 
 
@@ -464,3 +468,34 @@ class TestFamilyTable:
         with pytest.raises(ModelError, match="unknown expert family"):
             MoeParams(family="gamma", gating=np.zeros((1, 2)),
                       beta=np.zeros((1, 2)))
+
+
+class TestKronGram:
+    """A fit passes ``kron_gram`` the ``outer_rows`` table it built once; the
+    Grams must be those of ``kron_gram`` building the table itself, bit for
+    bit, for each kind of weights a fit uses."""
+
+    @staticmethod
+    def cases(rng, n):
+        """(W, V) pairs: gaussian unit V, ``free_class_cov`` V for K = 2..4
+        and the gate's unit weights ``ones((1, n))``."""
+        W = rng.uniform(0.0, 1.0, size=(3, n))
+        yield W, np.ones((1, 1, 1, 1))
+        for K in (2, 3, 4):
+            yield W, free_class_cov(softmax(rng.normal(size=(3, K, n)), axis=1))
+        yield np.ones((1, n)), free_class_cov(softmax(rng.normal(size=(1, 4, n)), axis=1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_precomputed_table_is_bit_equal(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40 + 97 * seed
+        D = np.column_stack([np.ones(n), 3.0 * rng.normal(size=(n, 1 + seed % 3))])
+        DD = outer_rows(D)
+        for W, V in self.cases(rng, n):
+            G = kron_gram(W, V, D, DD)
+            assert np.array_equal(G, kron_gram(W, V, D))
+            # and it is the weighted Kronecker sum it claims to be
+            k, d = V.shape[1], D.shape[1]
+            ref = np.einsum("bn,bijn,np,nq->bipjq", W, np.broadcast_to(
+                V, (len(W), k, k, n)), D, D).reshape(len(W), k * d, k * d)
+            assert np.allclose(G, ref, rtol=1e-12, atol=1e-12)
