@@ -7,6 +7,7 @@ Every command is deterministic given its full argument list including --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -148,12 +149,9 @@ def cmd_simulate(args) -> int:
         else:
             spec = datagen.SignalSpec(n=args.n, seed=args.seed)
         data = datagen.gen_switch_signal(spec)
-        params = {"generator": "switch-signal", "n": args.n, "seed": args.seed,
-                  "breakpoints": list(spec.breakpoints),
-                  "coefs": [list(c) for c in spec.coefs],
-                  "noise_sd": list(spec.noise_sd)}
+        params = {"generator": "switch-signal", **dataclasses.asdict(spec)}
     io.write_dataset_csv(args.out, data)
-    io.write_sidecar_json(str(args.out) + ".json", params)
+    io.write_json(str(args.out) + ".json", params)
     return 0
 
 

@@ -139,16 +139,6 @@ def gating_gram(data: Dataset) -> np.ndarray:
     return Xt.T @ Xt
 
 
-def _gating_step_matrix(data: Dataset) -> np.ndarray:
-    """M = 4 H^-1; the curvature-bound step of gating block z is
-    M X-tilde^T (tau_z - pi_z)."""
-    H = gating_gram(data)
-    M, ok = _cholesky_solve(H[None], 4.0 * np.eye(len(H))[None])
-    if not ok[0]:
-        raise _rank_deficient("gating design Gram matrix")
-    return M[0]
-
-
 def gating_line(JS: np.ndarray, z: int, others: np.ndarray):
     """Q_n along the step of gating row z, from log-odds.
 
@@ -200,9 +190,10 @@ def gating_block_update(data: Dataset, theta: MoeParams, z: int) -> np.ndarray:
     step that a GLM ``fit``'s sweep takes from ``theta`` at step factor 1."""
     if not 0 <= z < theta.g - 1:
         raise ValueError("gating block index must lie in [0, g-1)")
+    fd = _FitData.build(data, theta)
     JS, _ = joint_scores(data, theta)
     resid, _ = gating_line(JS, z, np.delete(np.arange(theta.g), z))
-    return theta.gating[z] + _gating_step_matrix(data) @ (add_intercept(data.X).T @ resid)
+    return theta.gating[z] + fd.M @ (fd.Xt.T @ resid)
 
 
 def gating_surrogate_value(data: Dataset, theta: MoeParams, z: int,
@@ -243,7 +234,9 @@ class _FitData(NamedTuple):
     """Constants of one fit, built once per ``fit``: the expert design ``Dt``,
     its transpose (scores come out (b, n) or (b, K, n), reduced along rows)
     and ``outer_rows`` table, the response and its ``target`` on the mean's
-    scale, the variance floor, and the gate's X-tilde, its table and weights."""
+    scale, the variance floor, the gate's X-tilde, its table and weights, and
+    for g > 1 M = 4 (X-tilde^T X-tilde)^-1, whose build checks the gating
+    design's rank: gating row z's curvature-bound step is M X-tilde^T (tau_z - pi_z)."""
 
     fam: ExpertFamily
     Dt: np.ndarray
@@ -255,15 +248,21 @@ class _FitData(NamedTuple):
     Xt: np.ndarray
     XX: np.ndarray
     ones: np.ndarray  # (1, n)
+    M: np.ndarray | None
 
     @classmethod
     def build(cls, data: Dataset, theta: MoeParams) -> "_FitData":
         fam = expert_family(theta.family)
         Dt, Xt = add_intercept(theta.design.matrix(data.X)), add_intercept(data.X)
+        M = None
+        if theta.g > 1:
+            (M,), (ok,) = _cholesky_solve((Xt.T @ Xt)[None], 4.0 * np.eye(Xt.shape[1])[None])
+            if not ok:
+                raise _rank_deficient("gating design Gram matrix")
         return cls(fam, Dt, np.ascontiguousarray(Dt.T), outer_rows(Dt), data.y,
                    fam.target(data.y, theta.K),
                    variance_floor(data) if fam.dispersion else None,
-                   Xt, outer_rows(Xt), np.ones((1, data.n)))
+                   Xt, outer_rows(Xt), np.ones((1, data.n)), M)
 
     def log_densities(self, beta: np.ndarray, sigma2=None) -> np.ndarray:
         return expert_log_densities(self.fam, beta, self.Dt, self.y, sigma2)
@@ -423,7 +422,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     gating rows (``_newton_gate``).  GLM fits sweep the gating rows
     GATING_ROUNDS times per cycle, standing in for their one-step Newton
     expert block: each row steps along its curvature-bound direction (the
-    gating Gram matrix inverted once), ``gating_line`` prices trial steps from
+    bundle's ``M``), ``gating_line`` prices trial steps from
     log-odds, and ``_step_length`` doubles the step while Q_n keeps rising.
 
     The family's expert block is looked up when ``fit`` runs, so a wrapper
@@ -433,10 +432,8 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     check_compatible(data, init)
     theta = init.copy()
     g = theta.g
-    # the GLM sweep's step matrix; building it checks the gating design's rank
-    M = _gating_step_matrix(data) if g > 1 else None
     fd = _FitData.build(data, theta)
-    dispersion, Xt = fd.fam.dispersion, fd.Xt
+    dispersion, Xt, M = fd.fam.dispersion, fd.Xt, fd.M
     block = gaussian_expert_block_update if dispersion else glm_expert_block_update
     JS, L = joint_scores(data, theta)
     J, S = JS  # views: the joint and the gating scores
@@ -511,7 +508,6 @@ def _random_hard_partition(data: Dataset, g: int,
     sd = Z.std(axis=0)
     Z = (Z - Z.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
     centers = Z[rng.choice(n, size=g, replace=False)].copy()
-    labels = np.zeros(n, dtype=int)
     for _ in range(6):
         d2 = ((Z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)

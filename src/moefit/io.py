@@ -104,7 +104,7 @@ def read_covariates_csv(path, response_col: str = "y",
     return _read_columns(Path(path), response_col, covariate_cols, False)[0]
 
 
-def write_sidecar_json(path, payload: dict) -> None:
+def write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -149,6 +149,9 @@ def model_from_dict(doc: dict) -> MoeParams:
                     if "sigma2" in experts else None),
             K=doc.get("K"),
         )
+        if (doc["g"], doc["p"]) != (theta.g, theta.p):
+            raise FormatError(f"g={doc['g']!r}, p={doc['p']!r} do not match the "
+                              f"{theta.g} x {theta.p + 1} gating array")
         if "covariance" in doc:
             labels = param_labels(theta)
             cov = doc["covariance"]
@@ -165,8 +168,7 @@ def model_from_dict(doc: dict) -> MoeParams:
 
 def save_model(path, theta: MoeParams, fit_meta: dict | None = None,
                covariance: dict | None = None) -> None:
-    doc = model_to_dict(theta, fit_meta, covariance)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, model_to_dict(theta, fit_meta, covariance))
 
 
 def load_model(path) -> tuple[MoeParams, dict]:

@@ -297,6 +297,9 @@ class MoeParams:
         if not np.all(np.isfinite(self.gating)) or not np.all(np.isfinite(self.beta)):
             raise ModelError("parameters must be finite")
         g = self.gating.shape[0]
+        for name, allowed in (("K", fam.multiclass), ("sigma2", fam.dispersion)):
+            if getattr(self, name) is not None and not allowed:
+                raise ModelError(f"{self.family} experts take no {name}")
         if fam.multiclass:
             fam.free_classes(self.K)  # raises unless K >= 2
             if self.beta.ndim != 3 or self.beta.shape[:2] != (g, self.K):

@@ -550,6 +550,19 @@ class TestSummarize:
         err = capsys.readouterr().err
         assert "fit block" in err and str(line_model) in err
 
+    @pytest.mark.parametrize("edit,message", [
+        ({"g": 5, "p": 7}, "g=5, p=7 do not match the 1 x 2 gating array"),
+        ({"K": 3}, "gaussian experts take no K"),
+        ({"family": "poisson"}, "poisson experts take no sigma2"),
+    ], ids=["shape", "K", "sigma2"])
+    def test_self_contradicting_model_exits_2(self, line_model, capsys, edit, message):
+        doc = json.loads(line_model.read_text())
+        doc.update(edit)
+        line_model.write_text(json.dumps(doc))
+        assert run(["summarize", "--model", str(line_model)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
     def test_covariance_condition_saved_and_summarized(self, tmp_path, line_model,
                                                        capsys):
         data = TestFit().simulate_line(tmp_path, line_model, n=50)

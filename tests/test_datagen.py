@@ -139,6 +139,13 @@ class TestGenMoeSample:
         with pytest.raises(ValueError):
             gen_moe_sample(theta, lambda rng, n: rng.normal(size=(n, 3)), 10, seed=0)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_size_below_one_rejected(self, n):
+        theta = MoeParams(family="poisson", gating=np.zeros((1, 2)),
+                          beta=np.array([[0.5, 0.3]]))
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            gen_moe_sample(theta, uniform_box_sampler([-1.0], [1.0]), n, seed=0)
+
 
 class TestSwitchSignal:
     def test_zero_noise_lies_on_quadratics(self):

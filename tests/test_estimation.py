@@ -112,9 +112,11 @@ def short_fit_sample(family, n=200):
 
 def fit_data(family, Dt, y, K=None):
     """The per-fit constants of a raw expert design Dt, intercept column
-    first, and a response y of the expert family ``family``."""
+    first, and a response y of the expert family ``family``; one component,
+    so no gating step matrix."""
     data = Dataset(Dt[:, 1:], y, EXPERT_FAMILIES[family].kind, K=K)
-    return _FitData.build(data, SimpleNamespace(family=family, design=ExpertDesign(), K=K))
+    return _FitData.build(data, SimpleNamespace(family=family, design=ExpertDesign(),
+                                                K=K, g=1))
 
 
 def glm_fit(fd, W, beta0, max_inner):
@@ -585,12 +587,15 @@ class TestGlmExpertBlockUpdate:
         assert not np.array_equal(solo(1, 6), solo(1))
 
     def test_singular_newton_system_gives_nan_direction(self):
-        # a singular system stops only its own expert in the batched solve
-        A = np.stack([np.eye(2), np.zeros((2, 2))])
-        delta, ok = _cholesky_solve(A, np.ones((2, 2)))
-        assert np.array_equal(delta[0], [1.0, 1.0])
-        assert np.all(np.isnan(delta[1]))
-        assert ok.tolist() == [True, False]
+        # a singular or an indefinite system stops only its own expert in the
+        # batched solve, through the per-matrix fallback, for vector and
+        # matrix right-hand sides alike
+        for bad in (np.zeros((2, 2)), np.diag([1.0, -1.0])):
+            for b in (np.ones((2, 2)), np.arange(12.0).reshape(2, 2, 3)):
+                delta, ok = _cholesky_solve(np.stack([np.eye(2), bad]), b)
+                assert np.array_equal(delta[0], b[0])
+                assert np.all(np.isnan(delta[1]))
+                assert ok.tolist() == [True, False]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_trial_steps_stay_silent(self):
@@ -863,6 +868,28 @@ class TestCarriedLogDensities:
         assert two_cycles.q_trace[2] > result.q_trace[2] >= result.q_trace[1]
 
 
+def reference_partition(data, g, rng):
+    """A copy of the k-means loop of ``_random_hard_partition``, kept as the
+    reference: a faster partition must return the same labels."""
+    n = data.n
+    Z = np.column_stack([data.X, data.y.astype(float)])
+    sd = Z.std(axis=0)
+    Z = (Z - Z.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
+    centers = Z[rng.choice(n, size=g, replace=False)].copy()
+    for _ in range(6):
+        d2 = ((Z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        for z in range(g):
+            members = labels == z
+            if not members.any():
+                far = int(np.argmax(d2[np.arange(n), labels]))
+                labels[far] = z
+                centers[z] = Z[far]
+            else:
+                centers[z] = Z[members].mean(axis=0)
+    return labels
+
+
 class TestInitialize:
     def test_g1_deterministic_across_seeds(self):
         rng = np.random.default_rng(31)
@@ -940,6 +967,46 @@ class TestInitialize:
         data = Dataset(X, X[:, 0] * 2.0, "real")
         labels = _random_hard_partition(data, 3, np.random.default_rng(seed))
         assert np.all(np.bincount(labels, minlength=3) > 0)
+        assert np.array_equal(labels, reference_partition(data, 3,
+                                                          np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("n,g,p", [(12, 2, 1), (12, 4, 2), (40, 9, 1), (150, 3, 3),
+                                       (500, 6, 2), (1000, 9, 1), (1000, 2, 3)])
+    def test_partition_matches_reference_loop(self, n, g, p):
+        rng = np.random.default_rng(100 * g + n)
+        X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+        for data in (Dataset(X, X.sum(axis=1) + rng.normal(size=n), "real"),
+                     Dataset(X, rng.integers(1, 4, size=n), "categorical", K=3)):
+            for seed in range(4):
+                assert np.array_equal(
+                    _random_hard_partition(data, g, np.random.default_rng(seed)),
+                    reference_partition(data, g, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e9])
+    def test_ridge_that_cannot_rescue_a_group_raises(self, scale):
+        # fifteen copies of one far row form their own group; at these scales
+        # the 1e-8 ridge is lost to rounding on every diagonal entry but the
+        # intercept's, so the ridged Gram matrix stays singular
+        rng = np.random.default_rng(36)
+        X = np.vstack([rng.uniform(-1.0, 1.0, size=(30, 3)), np.full((15, 3), 3.0)])
+        data = Dataset(X * scale, np.repeat([0.0, 10.0], [30, 15]), "real")
+        for seed in range(3):
+            with pytest.raises(RankDeficientError, match="singular ridged init Gram"):
+                initialize(data, 2, "gaussian", ExpertDesign(), seed)
+
+    def test_gating_gram_without_cholesky_factor_stops_the_start(self):
+        # x2 = x1 + 1e-10 noise passes the SVD rank check, but the gating
+        # Gram matrix has no Cholesky factor; the fit's bundle of constants
+        # refuses it when the start builds it, as fit would
+        rng = np.random.default_rng(37)
+        x1 = rng.normal(size=300)
+        X = np.column_stack([x1, x1 + 1e-10 * rng.normal(size=300)])
+        data = Dataset(X, rng.normal(size=300), "real")
+        poly = ExpertDesign("poly", 2)
+        estimation._check_init_rows(data, 2, poly)
+        with pytest.raises(RankDeficientError, match="singular gating design Gram matrix"):
+            initialize(data, 2, "gaussian", poly, 0)
+        assert initialize(data, 1, "gaussian", poly, 0).g == 1
 
     @pytest.mark.parametrize("g", [1, 2])
     @pytest.mark.parametrize("column", ["collinear", "constant"])

@@ -8,6 +8,7 @@ from scipy.stats import norm
 from moefit.datagen import gen_moe_sample, gen_three_class, uniform_box_sampler
 from moefit.estimation import FitConfig, fit, initialize, multi_start_fit
 from moefit.inference import (
+    InferenceError,
     _scores,
     flatten_params,
     mean_ci,
@@ -184,6 +185,13 @@ class TestFlattenRoundTrip:
         assert np.array_equal(back.beta, theta.beta)
         assert len(param_labels(theta)) == vec.size
 
+    @pytest.mark.parametrize("cut", [-1, 1])
+    def test_length_mismatch_rejected(self, cut):
+        theta = random_theta("gaussian", np.random.default_rng(5))
+        vec = flatten_params(theta)
+        with pytest.raises(InferenceError, match="length mismatch"):
+            unflatten_params(theta, np.resize(vec, vec.size + cut))
+
 
 def block_diag_bread(data, theta):
     """sandwich_covariance's bread with its expert blocks laid out by
@@ -281,6 +289,17 @@ class TestSandwichCovariance:
             n_starts=1, rel_tol=2e-4, max_cycles=100, irls_max_inner=1))
         sw = sandwich_covariance(data, result.theta)
         assert sw.condition == np.linalg.cond(sw.bread) > 1e12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family", ["gaussian", "poisson", "multinomial"])
+    def test_singular_bread_rejected(self, family):
+        # a gate row of -2000 makes component 1's tau exactly 0, so its
+        # gating and expert rows of the bread vanish
+        theta = random_theta(family, np.random.default_rng(9))
+        theta.gating[0] = [-2000.0, 0.0]
+        data = gen_moe_sample(theta, uniform_box_sampler([-3.0], [3.0]), 50, seed=5)
+        with pytest.raises(InferenceError, match=r"singular \(condition number inf\)"):
+            sandwich_covariance(data, theta)
 
     def test_condition_of_well_posed_bread(self):
         truth = MoeParams(family="gaussian",

@@ -80,6 +80,37 @@ class TestModelFile:
         assert doc["gating"][-1] == [0.0, 0.0, 0.0]
         assert doc["g"] == 3 and doc["p"] == 2
 
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson", "multinomial"])
+    def test_every_family_saves_loads_saves_byte_identical(self, tmp_path, family):
+        rng = np.random.default_rng(4)
+        multiclass = family == "multinomial"
+        theta = MoeParams(
+            family=family, gating=np.vstack([rng.normal(size=(1, 3)), np.zeros(3)]),
+            beta=rng.normal(size=(2, 3, 3) if multiclass else (2, 3)),
+            sigma2=rng.uniform(0.1, 2.0, size=2) if family == "gaussian" else None,
+            K=3 if multiclass else None)
+        first, second = tmp_path / "m1.json", tmp_path / "m2.json"
+        save_model(first, theta)
+        save_model(second, load_model(first)[0])
+        assert first.read_bytes() == second.read_bytes()
+
+    # the declared shape of a 3 x 3 gating array is g = 3, p = 2
+    @pytest.mark.parametrize("declared", [{"g": 5}, {"p": 7}, {"g": 5, "p": 7},
+                                          {"g": "3"}],
+                             ids=["g", "p", "g-and-p", "g-as-string"])
+    def test_declared_shape_must_match_gating(self, declared):
+        doc = model_to_dict(sample_theta())
+        doc.update(declared)
+        with pytest.raises(FormatError, match="do not match the 3 x 3 gating array"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["g", "p"])
+    def test_missing_declared_shape_rejected(self, key):
+        doc = model_to_dict(sample_theta())
+        del doc[key]
+        with pytest.raises(FormatError, match="malformed model document"):
+            model_from_dict(doc)
+
     def test_wrong_schema_version_rejected(self):
         doc = model_to_dict(sample_theta())
         doc["schema_version"] = 99

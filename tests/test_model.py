@@ -464,6 +464,18 @@ class TestFamilyTable:
         got = EXPERT_FAMILIES["logistic"].mean(s)
         assert np.allclose(got, special.expit(s), rtol=4e-15, atol=1e-300)
 
+    @pytest.mark.parametrize("family,extra", [
+        ("gaussian", "K"), ("logistic", "K"), ("poisson", "K"),
+        ("logistic", "sigma2"), ("poisson", "sigma2"), ("multinomial", "sigma2")])
+    def test_parameters_of_other_families_rejected(self, family, extra):
+        fam = EXPERT_FAMILIES[family]
+        fields = {"K": 3 if fam.multiclass else None,
+                  "sigma2": np.ones(2) if fam.dispersion else None}
+        fields[extra] = 3 if extra == "K" else np.ones(2)
+        beta = np.zeros((2, 3, 2) if fam.multiclass else (2, 2))
+        with pytest.raises(ModelError, match=f"{family} experts take no {extra}"):
+            MoeParams(family=family, gating=np.zeros((2, 2)), beta=beta, **fields)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ModelError, match="unknown expert family"):
             MoeParams(family="gamma", gating=np.zeros((1, 2)),
