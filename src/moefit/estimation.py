@@ -4,8 +4,9 @@ One outer cycle updates the g-1 free gating rows and then the joint expert
 block, recomputing responsibilities at the current iterate before every block
 update, so the log-quasi-likelihood never decreases.  GLM fits sweep the
 gating rows with the quadratic curvature-bound update, gaussian fits take one
-guarded Newton gate step; gaussian expert blocks are closed-form weighted
-least squares, GLM expert blocks ascent-guarded Newton steps.
+guarded Newton gate step and extrapolate every two cycles (SQUAREM); gaussian
+expert blocks are closed-form weighted least squares, GLM expert blocks
+ascent-guarded Newton steps.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ GLM_COEF_CAP = 30.0
 # times; gaussian fits take a Newton gate step instead (see fit)
 GATING_ROUNDS = 3
 GATING_STEP_CAP = 64.0
+# the step length -alpha of a gaussian fit's SQUAREM extrapolation is capped:
+# uncapped, over-fitted gates run toward separation (gating rows near 8e5 on
+# the switch signal), exp overflows and the sandwich is not finite, and at 8
+# the bread's condition nears 1/eps; 4 keeps most of the cycles saved
+SQUAREM_STEP_CAP = 4.0
 
 
 class EstimationError(RuntimeError):
@@ -410,6 +416,50 @@ def _newton_gate(JS: np.ndarray, L: np.ndarray, tau: np.ndarray, q: float,
     return tau, q
 
 
+def _squarem_point(theta: MoeParams) -> np.ndarray:
+    """A gaussian fit's free parameters as one vector, the coordinates of its
+    extrapolation: the g-1 free gating rows, beta and log sigma2."""
+    return np.concatenate((theta.gating[:-1].ravel(), theta.beta.ravel(),
+                           np.log(theta.sigma2)))
+
+
+def _squarem(JS: np.ndarray, L: np.ndarray, tau: np.ndarray, q: float,
+             fd: _FitData, theta: MoeParams, points: list):
+    """One SQUAREM-3 extrapolation (Varadhan & Roland 2008) from the points
+    theta0, theta1, theta2 of two cycles, theta2 being live: with
+    r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and
+    alpha = max(-|r|/|v|, -SQUAREM_STEP_CAP), theta' = theta0 - 2 alpha r +
+    alpha^2 v.  theta' is set live and priced through ``_joint``, moving
+    ``theta`` and ``JS`` in place; it is kept if it is finite, its variances
+    lie above the floor and Q_n does not fall, else theta2 is restored.
+    No step is tried when v = 0 or alpha >= -1.  Returns (tau, q, L, kept)."""
+    t0, t1, t2 = points
+    k1 = theta.gating[:-1].size
+    k2 = k1 + theta.beta.size
+    # an overflowing step is refused below, not reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, v = t1 - t0, t2 - 2.0 * t1 + t0
+        vn = np.linalg.norm(v)
+        alpha = max(-np.linalg.norm(r) / vn, -SQUAREM_STEP_CAP) if vn > 0.0 else -1.0
+        if alpha >= -1.0:
+            return tau, q, L, False
+        t = t0 - 2.0 * alpha * r + alpha * alpha * v
+        sigma2 = np.exp(t[k2:])
+        if not (np.isfinite(t).all() and np.isfinite(sigma2).all()
+                and (sigma2 > fd.floor).all()):
+            return tau, q, L, False
+        old = theta.gating.copy(), theta.beta, theta.sigma2, JS.copy()
+        theta.gating[:-1] = t[:k1].reshape(-1, theta.gating.shape[1])
+        theta.beta, theta.sigma2 = t[k1:k2].reshape(theta.beta.shape), sigma2
+        L_new = fd.log_densities(theta.beta, sigma2)
+        JS[1] = (fd.Xt @ theta.gating.T).T
+        tau_new, q_new = _joint(JS, L_new)
+    if q_new >= q:
+        return tau_new, q_new, L_new, True
+    theta.gating[...], theta.beta, theta.sigma2, JS[...] = old
+    return tau, q, L, False
+
+
 def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
         seed_used: int = 0) -> FitResult:
     """Run the blockwise-MM algorithm from ``init`` until convergence.
@@ -419,7 +469,13 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     ``JS`` in place, and the expert block starts from L and returns its update.
 
     Gaussian fits take one guarded Newton step per cycle over all g-1 free
-    gating rows (``_newton_gate``).  GLM fits sweep the gating rows
+    gating rows (``_newton_gate``).  For g >= 2 every two of their cycles
+    are followed by a SQUAREM-3 extrapolation (``_squarem``), kept only if
+    it does not lose Q_n; after a kept one, the next cycle runs from the
+    extrapolated point and its result starts the next pair.  An
+    extrapolation adds no ``q_trace`` entry, does not count toward
+    ``max_cycles`` or ``cycles_used``, and never follows the last cycle.
+    GLM fits sweep the gating rows
     GATING_ROUNDS times per cycle, standing in for their one-step Newton
     expert block: each row steps along its curvature-bound direction (the
     bundle's ``M``), ``gating_line`` prices trial steps from
@@ -440,6 +496,8 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     tau, q = _joint(JS, L)
     others = [np.delete(np.arange(g), z) for z in range(g - 1)]
     step_factor = np.ones(g - 1)
+    accelerate = dispersion and g > 1
+    points = [_squarem_point(theta)] if accelerate else None
     trace = [q]
     converged = False
     degenerate = False
@@ -483,6 +541,11 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
             q = q_new
             break
         q = q_new
+        if accelerate:
+            points.append(_squarem_point(theta))
+            if len(points) == 3 and cycle < config.max_cycles:
+                tau, q, L, kept = _squarem(JS, L, tau, q, fd, theta, points)
+                points = [] if kept else points[2:]
     return FitResult(
         theta=theta,
         q_trace=np.asarray(trace),
@@ -511,6 +574,13 @@ def _random_hard_partition(data: Dataset, g: int,
     for _ in range(6):
         d2 = ((Z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
+        counts = np.bincount(labels, minlength=g)
+        if counts.all():
+            # weighted bincount sums each group's rows in row order, as
+            # Z[members].mean does, so the centers agree to the last bit
+            centers = np.column_stack([np.bincount(labels, weights=col, minlength=g)
+                                       for col in Z.T]) / counts[:, None]
+            continue
         for z in range(g):
             members = labels == z
             if not members.any():
