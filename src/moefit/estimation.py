@@ -4,9 +4,9 @@ One outer cycle updates the g-1 free gating rows and then the joint expert
 block, recomputing responsibilities at the current iterate before every block
 update, so the log-quasi-likelihood never decreases.  GLM fits sweep the
 gating rows with the quadratic curvature-bound update, gaussian fits take one
-guarded Newton gate step and extrapolate every two cycles (SQUAREM); gaussian
-expert blocks are closed-form weighted least squares, GLM expert blocks
-ascent-guarded Newton steps.
+guarded Newton gate step; gaussian expert blocks are closed-form weighted
+least squares, GLM expert blocks ascent-guarded Newton steps.  Every fit with
+g >= 2 extrapolates every two cycles (SQUAREM).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .model import (
     posterior,
     softplus,
 )
+from .inference import flatten_params, unflatten_params
 
 STARVATION_FACTOR = 1e-12
 # gaussian variances are floored at this fraction of the response variance
@@ -46,8 +47,8 @@ GLM_COEF_CAP = 30.0
 # times; gaussian fits take a Newton gate step instead (see fit)
 GATING_ROUNDS = 3
 GATING_STEP_CAP = 64.0
-# the step length -alpha of a gaussian fit's SQUAREM extrapolation is capped:
-# uncapped, over-fitted gates run toward separation (gating rows near 8e5 on
+# the step length -alpha of a SQUAREM extrapolation is capped: uncapped,
+# over-fitted gaussian gates run toward separation (gating rows near 8e5 on
 # the switch signal), exp overflows and the sandwich is not finite, and at 8
 # the bread's condition nears 1/eps; 4 keeps most of the cycles saved
 SQUAREM_STEP_CAP = 4.0
@@ -395,47 +396,39 @@ def _newton_gate(JS: np.ndarray, L: np.ndarray, tau: np.ndarray, q: float,
     1994), moving ``gating`` and the gating scores JS[1] in place.  Trial
     steps 1, 1/2, ... are priced through ``_joint``; the first that loses at
     most the ascent guard's tolerance is kept.  If none is, or the Hessian is
-    not positive definite, nothing moves.  Returns tau and Q_n after the step."""
+    not positive definite, nothing moves.  Scores are (X-tilde gating^T)^T,
+    as in ``joint_scores``.  Returns tau and Q_n after the step."""
     S = JS[1]
     pi = np.exp(S - logsumexp(S))
     grad = (tau - pi)[:-1] @ fd.Xt
     hess = kron_gram(fd.ones, free_class_cov(pi[None]), fd.Xt, fd.XX)
     step, ok = _cholesky_solve(hess, grad.reshape(1, -1))
     if ok[0]:
-        delta = step.reshape(grad.shape)
-        drow = delta @ fd.Xt.T
-        start = S[:-1].copy()
+        delta = np.vstack([step.reshape(grad.shape), np.zeros(grad.shape[1])])
         for t in 0.5 ** np.arange(30.0):
-            np.add(start, t * drow, out=S[:-1])
+            trial = gating + t * delta
+            S[...] = (fd.Xt @ trial.T).T
             tau_t, q_t = _joint(JS, L)
             if q_t >= q - 1e-10 * (1.0 + abs(q)):
-                gating[:-1] += t * delta
+                gating[...] = trial
                 return tau_t, q_t
-        S[:-1] = start
+        S[...] = (fd.Xt @ gating.T).T
         np.add(S, L, out=JS[0])
     return tau, q
 
 
-def _squarem_point(theta: MoeParams) -> np.ndarray:
-    """A gaussian fit's free parameters as one vector, the coordinates of its
-    extrapolation: the g-1 free gating rows, beta and log sigma2."""
-    return np.concatenate((theta.gating[:-1].ravel(), theta.beta.ravel(),
-                           np.log(theta.sigma2)))
-
-
 def _squarem(JS: np.ndarray, L: np.ndarray, tau: np.ndarray, q: float,
              fd: _FitData, theta: MoeParams, points: list):
-    """One SQUAREM-3 extrapolation (Varadhan & Roland 2008) from the points
-    theta0, theta1, theta2 of two cycles, theta2 being live: with
-    r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and
+    """One SQUAREM-3 extrapolation (Varadhan & Roland 2008) from the
+    ``flatten_params`` points theta0, theta1, theta2 of two cycles, theta2
+    being live: with r = theta1 - theta0, v = theta2 - 2 theta1 + theta0 and
     alpha = max(-|r|/|v|, -SQUAREM_STEP_CAP), theta' = theta0 - 2 alpha r +
-    alpha^2 v.  theta' is set live and priced through ``_joint``, moving
-    ``theta`` and ``JS`` in place; it is kept if it is finite, its variances
-    lie above the floor and Q_n does not fall, else theta2 is restored.
-    No step is tried when v = 0 or alpha >= -1.  Returns (tau, q, L, kept)."""
+    alpha^2 v.  theta' is refused if it is not finite, a variance is at or
+    under the floor or a separable family's coefficient is past GLM_COEF_CAP;
+    else it is bound live on ``theta``, priced through ``_joint`` (moving
+    ``JS``) and kept if Q_n does not fall, else theta2 is restored.  No step
+    is tried when v = 0 or alpha >= -1.  Returns (tau, q, L, kept)."""
     t0, t1, t2 = points
-    k1 = theta.gating[:-1].size
-    k2 = k1 + theta.beta.size
     # an overflowing step is refused below, not reported
     with np.errstate(over="ignore", invalid="ignore"):
         r, v = t1 - t0, t2 - 2.0 * t1 + t0
@@ -444,19 +437,18 @@ def _squarem(JS: np.ndarray, L: np.ndarray, tau: np.ndarray, q: float,
         if alpha >= -1.0:
             return tau, q, L, False
         t = t0 - 2.0 * alpha * r + alpha * alpha * v
-        sigma2 = np.exp(t[k2:])
-        if not (np.isfinite(t).all() and np.isfinite(sigma2).all()
-                and (sigma2 > fd.floor).all()):
+        new = unflatten_params(theta, t)
+        if not (np.isfinite(t).all() and (fd.floor is None or (new.sigma2 > fd.floor).all())
+                and not (fd.fam.separable and np.abs(new.beta).max() > GLM_COEF_CAP)):
             return tau, q, L, False
-        old = theta.gating.copy(), theta.beta, theta.sigma2, JS.copy()
-        theta.gating[:-1] = t[:k1].reshape(-1, theta.gating.shape[1])
-        theta.beta, theta.sigma2 = t[k1:k2].reshape(theta.beta.shape), sigma2
-        L_new = fd.log_densities(theta.beta, sigma2)
+        old = theta.gating, theta.beta, theta.sigma2, JS.copy()
+        theta.gating, theta.beta, theta.sigma2 = new.gating, new.beta, new.sigma2
+        L_new = fd.log_densities(theta.beta, theta.sigma2)
         JS[1] = (fd.Xt @ theta.gating.T).T
         tau_new, q_new = _joint(JS, L_new)
     if q_new >= q:
         return tau_new, q_new, L_new, True
-    theta.gating[...], theta.beta, theta.sigma2, JS[...] = old
+    theta.gating, theta.beta, theta.sigma2, JS[...] = old
     return tau, q, L, False
 
 
@@ -469,17 +461,17 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     ``JS`` in place, and the expert block starts from L and returns its update.
 
     Gaussian fits take one guarded Newton step per cycle over all g-1 free
-    gating rows (``_newton_gate``).  For g >= 2 every two of their cycles
-    are followed by a SQUAREM-3 extrapolation (``_squarem``), kept only if
-    it does not lose Q_n; after a kept one, the next cycle runs from the
-    extrapolated point and its result starts the next pair.  An
-    extrapolation adds no ``q_trace`` entry, does not count toward
-    ``max_cycles`` or ``cycles_used``, and never follows the last cycle.
-    GLM fits sweep the gating rows
+    gating rows (``_newton_gate``).  GLM fits sweep the gating rows
     GATING_ROUNDS times per cycle, standing in for their one-step Newton
     expert block: each row steps along its curvature-bound direction (the
-    bundle's ``M``), ``gating_line`` prices trial steps from
-    log-odds, and ``_step_length`` doubles the step while Q_n keeps rising.
+    bundle's ``M``), ``gating_line`` prices trial steps from log-odds, and
+    ``_step_length`` doubles the step while Q_n keeps rising.
+    For g >= 2, whatever the family, every two cycles are followed by a
+    SQUAREM-3 extrapolation (``_squarem``), kept only if it does not lose
+    Q_n; after a kept one, the next cycle runs from the extrapolated point
+    and its result starts the next pair.  An extrapolation adds no
+    ``q_trace`` entry, does not count toward ``max_cycles`` or
+    ``cycles_used``, and never follows the last cycle.
 
     The family's expert block is looked up when ``fit`` runs, so a wrapper
     set on its module name sees every call; one ascent guard serves both.
@@ -496,8 +488,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     tau, q = _joint(JS, L)
     others = [np.delete(np.arange(g), z) for z in range(g - 1)]
     step_factor = np.ones(g - 1)
-    accelerate = dispersion and g > 1
-    points = [_squarem_point(theta)] if accelerate else None
+    points = [flatten_params(theta)]
     trace = [q]
     converged = False
     degenerate = False
@@ -541,8 +532,8 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
             q = q_new
             break
         q = q_new
-        if accelerate:
-            points.append(_squarem_point(theta))
+        if g > 1:
+            points.append(flatten_params(theta))
             if len(points) == 3 and cycle < config.max_cycles:
                 tau, q, L, kept = _squarem(JS, L, tau, q, fd, theta, points)
                 points = [] if kept else points[2:]

@@ -152,6 +152,12 @@ def model_from_dict(doc: dict) -> MoeParams:
         if (doc["g"], doc["p"]) != (theta.g, theta.p):
             raise FormatError(f"g={doc['g']!r}, p={doc['p']!r} do not match the "
                               f"{theta.g} x {theta.p + 1} gating array")
+        # True == 1 and 3.0 == 3 pass the checks above; 3.0 would re-save as 3.0
+        counts = dict(g=doc["g"], p=doc["p"], K=theta.K, degree=theta.design.degree)
+        wrong = [f"{k}={v!r}" for k, v in counts.items()
+                 if v is not None and type(v) is not int]
+        if wrong:
+            raise FormatError(f"not a JSON integer: {', '.join(wrong)}")
         if "covariance" in doc:
             labels = param_labels(theta)
             cov = doc["covariance"]

@@ -209,7 +209,7 @@ class ExpertDesign:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExpertDesign":
-        return cls(kind=d["kind"], degree=int(d.get("degree", 2)))
+        return cls(kind=d["kind"], degree=d.get("degree", 2))
 
 
 @dataclass

@@ -554,7 +554,8 @@ class TestSummarize:
         ({"g": 5, "p": 7}, "g=5, p=7 do not match the 1 x 2 gating array"),
         ({"K": 3}, "gaussian experts take no K"),
         ({"family": "poisson"}, "poisson experts take no sigma2"),
-    ], ids=["shape", "K", "sigma2"])
+        ({"g": True}, "not a JSON integer: g=True"),
+    ], ids=["shape", "K", "sigma2", "g-boolean"])
     def test_self_contradicting_model_exits_2(self, line_model, capsys, edit, message):
         doc = json.loads(line_model.read_text())
         doc.update(edit)

@@ -2,9 +2,10 @@
 the BIC table has the header the benchmark parses, the CLI accepts the fit
 flags the benchmark passes, the benchmark's fit collector sees one ``fit``
 call per start, both expert blocks share one contract and are called once
-per start and cycle, a fit builds its data constants once, no module of the package imports a name it never uses,
-only ``io`` reads or writes CSV, each family kernel has one copy, and the
-package runs on numpy alone, without scipy, and on one thread."""
+per start and cycle, a fit builds its data constants once, no module of the
+package imports a name it never uses, the package's relative imports form no
+cycle, only ``io`` reads or writes CSV, each family kernel has one copy, and
+the package runs on numpy alone, without scipy, and on one thread."""
 
 import ast
 import importlib
@@ -199,6 +200,35 @@ def unused_imports(path: Path) -> list[str]:
                                           if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports(PACKAGE / module) == []
+
+
+def relative_imports(path: Path) -> set[str]:
+    """The package modules a module imports, read from its syntax tree."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names |= {node.module} if node.module else {a.name for a in node.names}
+    return names
+
+
+def test_relative_imports_form_no_cycle():
+    """The modules import each other along an acyclic graph: ``estimation``
+    imports ``inference``, so nothing ``inference`` imports, directly or
+    through ``tasks`` and ``model``, may import ``estimation``."""
+    graph = {path.stem: relative_imports(path) for path in PACKAGE.glob("*.py")}
+    done, chain = set(), []
+
+    def visit(module):
+        assert module not in chain, "import cycle: " + " -> ".join(chain + [module])
+        if module not in done:
+            chain.append(module)
+            for imported in sorted(graph.get(module, ())):
+                visit(imported)
+            chain.pop()
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")

@@ -104,6 +104,23 @@ class TestModelFile:
         with pytest.raises(FormatError, match="do not match the 3 x 3 gating array"):
             model_from_dict(doc)
 
+    # a one-component, one-covariate, three-class model: g = 1, p = 1, K = 3
+    @pytest.mark.parametrize("edit", [
+        {"g": True}, {"p": 1.0}, {"K": 3.0},
+        {"expert_design": {"kind": "poly", "degree": 2.7}},
+        {"expert_design": {"kind": "poly", "degree": True}},
+        {"expert_design": {"kind": "raw", "degree": "3"}},
+    ], ids=["g-boolean", "p-float", "K-float", "degree-float", "degree-boolean",
+            "degree-string"])
+    def test_integer_fields_must_be_json_integers(self, edit):
+        theta = MoeParams(family="multinomial", gating=np.zeros((1, 2)),
+                          beta=np.zeros((1, 3, 2)), K=3)
+        doc = model_to_dict(theta)
+        model_from_dict(doc)
+        doc.update(edit)
+        with pytest.raises(FormatError, match="not a JSON integer"):
+            model_from_dict(doc)
+
     @pytest.mark.parametrize("key", ["g", "p"])
     def test_missing_declared_shape_rejected(self, key):
         doc = model_to_dict(sample_theta())
