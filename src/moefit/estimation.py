@@ -106,14 +106,17 @@ def _rank_deficient(what: str) -> RankDeficientError:
 
 
 def _cholesky_solve(A: np.ndarray, b: np.ndarray):
-    """Solve A[i] x[i] = b[i] for a batch of symmetric positive-definite
-    matrices A (k, m, m) by one batched Cholesky factorization, with vector
-    (k, m) or matrix (k, m, r) right-hand sides b; returns (x, ok), where
-    ``ok`` is False, and x NaN, for the matrices that are not positive
+    """Solve A[i] x[i] = b[i] for a batch of symmetric matrices A (k, m, m) and
+    vector (k, m) or matrix (k, m, r) right-hand sides b; returns (x, ok).  If a
+    batched Cholesky factorization accepts A, one LU solve solves the batch; if
+    not, or if LU calls singular a matrix it accepted, each matrix is factored
+    and solved alone, with x NaN and ``ok`` False where it is not positive
     definite.  This is the one linear solve of the fit."""
     ok = np.ones(len(A), dtype=bool)
+    rhs = b if b.ndim == 3 else b[..., None]
     try:
-        C = np.linalg.cholesky(A)
+        np.linalg.cholesky(A)
+        return np.linalg.solve(A, rhs).reshape(b.shape), ok
     except np.linalg.LinAlgError:
         C = np.empty_like(A)
         for i, a in enumerate(A):
@@ -122,10 +125,8 @@ def _cholesky_solve(A: np.ndarray, b: np.ndarray):
             except np.linalg.LinAlgError:
                 ok[i] = False
     x = np.full_like(b, np.nan)
-    C = C[ok]
-    rhs = b[ok] if b.ndim == 3 else b[ok, :, None]
-    sol = np.linalg.solve(C.swapaxes(1, 2), np.linalg.solve(C, rhs))
-    x[ok] = sol if b.ndim == 3 else sol[..., 0]
+    sol = np.linalg.solve(C[ok].swapaxes(1, 2), np.linalg.solve(C[ok], rhs[ok]))
+    x[ok] = sol.reshape(-1, *b.shape[1:])
     return x, ok
 
 
@@ -134,7 +135,10 @@ def _weighted_least_squares(fd: "_FitData", W: np.ndarray, ridge: float = 0.0):
     row of W (b, n), all at once.  Returns (beta (b, m), the weighted mean
     squared residuals (b,), ok (b,)); ``ok`` is False, and the fit NaN, where
     the weighted Gram matrix (plus ``ridge`` times the identity) is singular."""
-    G = kron_gram(W, np.ones((1, 1, 1, 1)), fd.Dt, fd.DD) + ridge * np.eye(fd.Dt.shape[1])
+    m = fd.Dt.shape[1]
+    G = (W @ fd.DD).reshape(len(W), m, m)  # kron_gram with one class
+    if ridge:
+        G += ridge * np.eye(m)
     beta, ok = _cholesky_solve(G, (W * fd.y) @ fd.Dt)
     resid = fd.y - beta @ fd.Dt.T
     return beta, np.einsum("bn,bn->b", W, resid * resid) / W.sum(axis=1), ok
@@ -197,7 +201,7 @@ def gating_block_update(data: Dataset, theta: MoeParams, z: int) -> np.ndarray:
     step that a GLM ``fit``'s sweep takes from ``theta`` at step factor 1."""
     if not 0 <= z < theta.g - 1:
         raise ValueError("gating block index must lie in [0, g-1)")
-    fd = _FitData.build(data, theta)
+    fd = _FitData.build(data, theta.family, theta.design, theta.g)
     JS, _ = joint_scores(data, theta)
     resid, _ = gating_line(JS, z, np.delete(np.arange(theta.g), z))
     return theta.gating[z] + fd.M @ (fd.Xt.T @ resid)
@@ -238,7 +242,7 @@ def _check_starvation(W: np.ndarray, n: int) -> None:
 
 
 class _FitData(NamedTuple):
-    """Constants of one fit, built once per ``fit``: the expert design ``Dt``,
+    """Constants of the fits of one g, family and design: the expert design ``Dt``,
     its transpose (scores come out (b, n) or (b, K, n), reduced along rows)
     and ``outer_rows`` table, the response and its ``target`` on the mean's
     scale, the variance floor, the gate's X-tilde, its table and weights, and
@@ -258,16 +262,16 @@ class _FitData(NamedTuple):
     M: np.ndarray | None
 
     @classmethod
-    def build(cls, data: Dataset, theta: MoeParams) -> "_FitData":
-        fam = expert_family(theta.family)
-        Dt, Xt = add_intercept(theta.design.matrix(data.X)), add_intercept(data.X)
+    def build(cls, data: Dataset, family: str, design: ExpertDesign, g: int) -> "_FitData":
+        fam = expert_family(family)
+        Dt, Xt = add_intercept(design.matrix(data.X)), add_intercept(data.X)
         M = None
-        if theta.g > 1:
+        if g > 1:
             (M,), (ok,) = _cholesky_solve((Xt.T @ Xt)[None], 4.0 * np.eye(Xt.shape[1])[None])
             if not ok:
                 raise _rank_deficient("gating design Gram matrix")
         return cls(fam, Dt, np.ascontiguousarray(Dt.T), outer_rows(Dt), data.y,
-                   fam.target(data.y, theta.K),
+                   fam.target(data.y, data.K),
                    variance_floor(data) if fam.dispersion else None,
                    Xt, outer_rows(Xt), np.ones((1, data.n)), M)
 
@@ -283,7 +287,7 @@ def gaussian_expert_block_update(data: Dataset, theta: MoeParams, W: np.ndarray,
     config nor the log densities ``L`` at ``theta``.  Returns (beta, sigma2,
     floored, L at the result), ``floored`` marking the variances floored."""
     _check_starvation(W, data.n)
-    fd = fd or _FitData.build(data, theta)
+    fd = fd or _FitData.build(data, theta.family, theta.design, theta.g)
     beta, sigma2, ok = _weighted_least_squares(fd, W)
     if not ok.all():
         z = int(np.flatnonzero(~ok)[0])
@@ -374,7 +378,7 @@ def glm_expert_block_update(data: Dataset, theta: MoeParams, W: np.ndarray,
     log densities ``L`` at ``theta``; returns (beta, None, capped, L) with
     ``capped`` marking experts clipped at GLM_COEF_CAP and L at beta."""
     _check_starvation(W, data.n)
-    fd = fd or _FitData.build(data, theta)
+    fd = fd or _FitData.build(data, theta.family, theta.design, theta.g)
     L = fd.log_densities(theta.beta) if L is None else L
     beta, L, capped = _weighted_glm_fit(fd, W, theta.beta, L,
                                         (config or FitConfig()).irls_max_inner)
@@ -383,13 +387,13 @@ def glm_expert_block_update(data: Dataset, theta: MoeParams, W: np.ndarray,
 
 def _joint(JS: np.ndarray, L: np.ndarray):
     """Refresh JS[0] = S + L from the gating scores JS[1] and the cached expert
-    log densities L (g, n); returns the posterior kernel's tau and Q_n."""
+    log densities L (g, n); returns the posterior kernel's (tau, lse S) and Q_n."""
     np.add(JS[1], L, out=JS[0])
-    tau, rows = posterior(JS)
-    return tau, float(np.sum(rows))
+    tau, rows, lse_s = posterior(JS)
+    return (tau, lse_s), float(np.sum(rows))
 
 
-def _newton_gate(JS: np.ndarray, L: np.ndarray, tau: np.ndarray, q: float,
+def _newton_gate(JS: np.ndarray, L: np.ndarray, post: tuple, q: float,
                  fd: _FitData, gating: np.ndarray):
     """One guarded Newton step of the g-1 free ``gating`` rows at once on the
     gate's EM surrogate sum tau log pi (the IRLS gate of Jordan & Jacobs
@@ -397,10 +401,11 @@ def _newton_gate(JS: np.ndarray, L: np.ndarray, tau: np.ndarray, q: float,
     steps 1, 1/2, ... are priced through ``_joint``; the first that loses at
     most the ascent guard's tolerance is kept.  If none is, or the Hessian is
     not positive definite, nothing moves.  Scores are (X-tilde gating^T)^T,
-    as in ``joint_scores``.  Returns tau and Q_n after the step."""
+    as in ``joint_scores``.  ``post`` is ``_joint``'s (tau, lse S) at the
+    current point; returns ``post`` and Q_n after the step."""
     S = JS[1]
-    pi = np.exp(S - logsumexp(S))
-    grad = (tau - pi)[:-1] @ fd.Xt
+    pi = np.exp(S - post[1])
+    grad = (post[0] - pi)[:-1] @ fd.Xt
     hess = kron_gram(fd.ones, free_class_cov(pi[None]), fd.Xt, fd.XX)
     step, ok = _cholesky_solve(hess, grad.reshape(1, -1))
     if ok[0]:
@@ -408,16 +413,16 @@ def _newton_gate(JS: np.ndarray, L: np.ndarray, tau: np.ndarray, q: float,
         for t in 0.5 ** np.arange(30.0):
             trial = gating + t * delta
             S[...] = (fd.Xt @ trial.T).T
-            tau_t, q_t = _joint(JS, L)
+            post_t, q_t = _joint(JS, L)
             if q_t >= q - 1e-10 * (1.0 + abs(q)):
                 gating[...] = trial
-                return tau_t, q_t
+                return post_t, q_t
         S[...] = (fd.Xt @ gating.T).T
         np.add(S, L, out=JS[0])
-    return tau, q
+    return post, q
 
 
-def _squarem(JS: np.ndarray, L: np.ndarray, tau: np.ndarray, q: float,
+def _squarem(JS: np.ndarray, L: np.ndarray, post: tuple, q: float,
              fd: _FitData, theta: MoeParams, points: list):
     """One SQUAREM-3 extrapolation (Varadhan & Roland 2008) from the
     ``flatten_params`` points theta0, theta1, theta2 of two cycles, theta2
@@ -427,38 +432,39 @@ def _squarem(JS: np.ndarray, L: np.ndarray, tau: np.ndarray, q: float,
     under the floor or a separable family's coefficient is past GLM_COEF_CAP;
     else it is bound live on ``theta``, priced through ``_joint`` (moving
     ``JS``) and kept if Q_n does not fall, else theta2 is restored.  No step
-    is tried when v = 0 or alpha >= -1.  Returns (tau, q, L, kept)."""
+    is tried when v = 0 or alpha >= -1.  Returns (post, q, L, kept)."""
     t0, t1, t2 = points
     # an overflowing step is refused below, not reported
     with np.errstate(over="ignore", invalid="ignore"):
         r, v = t1 - t0, t2 - 2.0 * t1 + t0
-        vn = np.linalg.norm(v)
-        alpha = max(-np.linalg.norm(r) / vn, -SQUAREM_STEP_CAP) if vn > 0.0 else -1.0
+        vn = np.sqrt(v @ v)
+        alpha = max(-np.sqrt(r @ r) / vn, -SQUAREM_STEP_CAP) if vn > 0.0 else -1.0
         if alpha >= -1.0:
-            return tau, q, L, False
+            return post, q, L, False
         t = t0 - 2.0 * alpha * r + alpha * alpha * v
         new = unflatten_params(theta, t)
         if not (np.isfinite(t).all() and (fd.floor is None or (new.sigma2 > fd.floor).all())
                 and not (fd.fam.separable and np.abs(new.beta).max() > GLM_COEF_CAP)):
-            return tau, q, L, False
+            return post, q, L, False
         old = theta.gating, theta.beta, theta.sigma2, JS.copy()
         theta.gating, theta.beta, theta.sigma2 = new.gating, new.beta, new.sigma2
         L_new = fd.log_densities(theta.beta, theta.sigma2)
         JS[1] = (fd.Xt @ theta.gating.T).T
-        tau_new, q_new = _joint(JS, L_new)
+        post_new, q_new = _joint(JS, L_new)
     if q_new >= q:
-        return tau_new, q_new, L_new, True
+        return post_new, q_new, L_new, True
     theta.gating, theta.beta, theta.sigma2, JS[...] = old
-    return tau, q, L, False
+    return post, q, L, False
 
 
 def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
-        seed_used: int = 0) -> FitResult:
+        seed_used: int = 0, fd: _FitData | None = None) -> FitResult:
     """Run the blockwise-MM algorithm from ``init`` until convergence.
 
-    The data's constants (``_FitData``) are built once.  The expert log
-    densities L ride through the cycle: every gating trial reuses them, moving
-    ``JS`` in place, and the expert block starts from L and returns its update.
+    The data's constants (``_FitData``) are built once, unless passed as
+    ``fd``.  The expert log densities L ride through the cycle: every gating
+    trial reuses them, moving ``JS`` in place, and the expert block starts
+    from L and returns its update; so does ``_joint``'s (tau, lse S).
 
     Gaussian fits take one guarded Newton step per cycle over all g-1 free
     gating rows (``_newton_gate``).  GLM fits sweep the gating rows
@@ -480,12 +486,12 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     check_compatible(data, init)
     theta = init.copy()
     g = theta.g
-    fd = _FitData.build(data, theta)
+    fd = fd or _FitData.build(data, theta.family, theta.design, theta.g)
     dispersion, Xt, M = fd.fam.dispersion, fd.Xt, fd.M
     block = gaussian_expert_block_update if dispersion else glm_expert_block_update
     JS, L = joint_scores(data, theta)
     J, S = JS  # views: the joint and the gating scores
-    tau, q = _joint(JS, L)
+    post, q = _joint(JS, L)
     others = [np.delete(np.arange(g), z) for z in range(g - 1)]
     step_factor = np.ones(g - 1)
     points = [flatten_params(theta)]
@@ -512,16 +518,18 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
                             np.add(S[z], L[z], out=J[z])
                             theta.gating[z] = theta.gating[z] + factor * direction
                             q_cur += value
-                tau, q_cur = _joint(JS, L)
+                # the product joint_scores takes, so S ends the sweep on the rows
+                S[...] = (Xt @ theta.gating.T).T
+                post, q_cur = _joint(JS, L)
             elif g > 1:
-                tau, q_cur = _newton_gate(JS, L, tau, q, fd, theta.gating)
+                post, q_cur = _newton_gate(JS, L, post, q, fd, theta.gating)
             old = theta.beta, theta.sigma2, L
-            theta.beta, theta.sigma2, flagged, L = block(data, theta, tau, config, fd, L)
-            tau, q_new = _joint(JS, L)
+            theta.beta, theta.sigma2, flagged, L = block(data, theta, post[0], config, fd, L)
+            post, q_new = _joint(JS, L)
             # ascent guard: a capped or stalled Newton solve must not lose ground
             if q_new < q_cur - 1e-10 * (1.0 + abs(q_cur)):
                 theta.beta, theta.sigma2, L = old
-                tau, q_new = _joint(JS, L)
+                post, q_new = _joint(JS, L)
             else:
                 degenerate = dispersion and bool(flagged.any())
         except EstimationError as err:
@@ -535,7 +543,7 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
         if g > 1:
             points.append(flatten_params(theta))
             if len(points) == 3 and cycle < config.max_cycles:
-                tau, q, L, kept = _squarem(JS, L, tau, q, fd, theta, points)
+                post, q, L, kept = _squarem(JS, L, post, q, fd, theta, points)
                 points = [] if kept else points[2:]
     return FitResult(
         theta=theta,
@@ -598,27 +606,27 @@ def _check_init_rows(data: Dataset, g: int, design: ExpertDesign) -> None:
 
 
 def initialize(data: Dataset, g: int, family: str, design: ExpertDesign,
-               seed: int, config: FitConfig | None = None) -> MoeParams:
+               seed: int, config: FitConfig | None = None,
+               fd: _FitData | None = None) -> MoeParams:
     """Seeded start: the expert block on a random hard partition of the rows.
 
     From uniform gating (all zeros), zero coefficients and unit variances,
-    the family's expert block fits each expert to its own group.  If a
-    gaussian group's Gram matrix is singular, every group gets a 1e-8 ridge
-    instead.  g=1 is deterministic.
+    the family's expert block, with the fit's constants ``fd`` if given,
+    fits each expert to its own group.  If a gaussian group's Gram matrix is
+    singular, every group gets a 1e-8 ridge instead.  g=1 is deterministic.
     """
     if g < 1:
         raise ValueError("g must be >= 1")
     _check_init_rows(data, g, design)
-    fam = expert_family(family)
-    K = data.K if fam.multiclass else None
+    fd = fd or _FitData.build(data, family, design, g)
+    K = data.K if fd.fam.multiclass else None
     d = design.width(data.p)
     theta = MoeParams(family=family, gating=np.zeros((g, data.p + 1)),
                       beta=np.zeros((g, d + 1) if K is None else (g, K, d + 1)),
-                      design=design, sigma2=np.ones(g) if fam.dispersion else None, K=K)
+                      design=design, sigma2=np.ones(g) if fd.fam.dispersion else None, K=K)
     labels = _random_hard_partition(data, g, np.random.default_rng(seed))
     W = (labels[None, :] == np.arange(g)[:, None]).astype(float)
-    block = gaussian_expert_block_update if fam.dispersion else glm_expert_block_update
-    fd = _FitData.build(data, theta)
+    block = gaussian_expert_block_update if fd.fam.dispersion else glm_expert_block_update
     try:
         theta.beta, theta.sigma2, _, _ = block(data, theta, W, config, fd)
     except RankDeficientError:
@@ -634,24 +642,25 @@ def multi_start_fit(data: Dataset, g: int, family: str,
                     config: FitConfig | None = None) -> FitResult:
     """Best-of-n_starts fit; seeds are config.seed, config.seed+1, ...
 
-    The starts run one after another.  The winner has the largest final
-    log-quasi-likelihood, ties broken toward the lowest start index; its
-    components are put in ``canonical_order``, so starts that reach one
-    optimum under swapped labels return the same parameters, and it carries
-    the failure messages of the other starts, in start order, in
-    ``failed_starts``.  Data with too few rows for ``initialize``, or a
-    rank-deficient design, raise one InfeasibleInitError before any start
-    runs.
+    The starts run one after another on one ``_FitData``.  The winner has
+    the largest final log-quasi-likelihood, ties broken toward the lowest
+    start index; it is put in ``canonical_order``, so starts that reach one
+    optimum under swapped labels return the same parameters, and carries the
+    other starts' failure messages, in start order, in ``failed_starts``.
+    Data with too few rows for ``initialize``, or a rank-deficient design,
+    raise one InfeasibleInitError, and a gating Gram matrix without a
+    Cholesky factor one RankDeficientError, before any start runs.
     """
     config = config or FitConfig()
     design = design or ExpertDesign()
     _check_init_rows(data, g, design)
+    fd = _FitData.build(data, family, design, g)
     best, failures = None, []
     for k in range(config.n_starts):
         seed_k = config.seed + k
         try:
-            init = initialize(data, g, family, design, seed_k, config)
-            result = fit(data, init, config, seed_used=seed_k)
+            init = initialize(data, g, family, design, seed_k, config, fd=fd)
+            result = fit(data, init, config, seed_used=seed_k, fd=fd)
         except EstimationError as err:
             failures.append(f"start {k} (seed {seed_k}): {err}")
             continue

@@ -9,8 +9,9 @@ density work happens in log space with max-subtraction stabilization.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -332,12 +333,11 @@ class MoeParams:
         return expert_family(self.family).kind
 
     def copy(self) -> "MoeParams":
-        return replace(
-            self,
-            gating=self.gating.copy(),
-            beta=self.beta.copy(),
-            sigma2=None if self.sigma2 is None else self.sigma2.copy(),
-        )
+        """A copy with its own arrays, not checked again."""
+        out = copy.copy(self)
+        out.gating, out.beta = self.gating.copy(), self.beta.copy()
+        out.sigma2 = None if self.sigma2 is None else self.sigma2.copy()
+        return out
 
 
 def add_intercept(A: np.ndarray) -> np.ndarray:
@@ -395,10 +395,10 @@ def joint_scores(data: Dataset, theta: MoeParams):
 
 def posterior(JS: np.ndarray):
     """The one posterior kernel: from JS (2, g, n), the responsibilities
-    exp(J - lse J) (g, n) and the per-row mixture log densities lse J - lse S
-    (n,), one log-sum-exp over components for both."""
+    exp(J - lse J) (g, n), the per-row mixture log densities lse J - lse S
+    (n,) and the gate's log normaliser lse S (n,), one log-sum-exp for all."""
     lse = logsumexp(JS, axis=1)
-    return np.exp(JS[0] - lse[0]), lse[0] - lse[1]
+    return np.exp(JS[0] - lse[0]), lse[0] - lse[1], lse[1]
 
 
 def moe_log_density_rows(data: Dataset, theta: MoeParams) -> np.ndarray:

@@ -2,7 +2,8 @@
 the BIC table has the header the benchmark parses, the CLI accepts the fit
 flags the benchmark passes, the benchmark's fit collector sees one ``fit``
 call per start, both expert blocks share one contract and are called once
-per start and cycle, a fit builds its data constants once, no module of the
+per start and cycle, a fit builds its data constants once and a multi-start
+fit once per g, ``estimation`` has one linear solve, no module of the
 package imports a name it never uses, the package's relative imports form no
 cycle, only ``io`` reads or writes CSV, each family kernel has one copy, and
 the package runs on numpy alone, without scipy, and on one thread."""
@@ -151,19 +152,17 @@ def test_expert_block_called_once_by_initialize_and_once_per_cycle(monkeypatch, 
     assert calls == {name: (1 + k if name == used else 0) for name in EXPERT_BLOCKS}
 
 
-@pytest.mark.parametrize("family", ["gaussian", "multinomial"])
-def test_fit_builds_its_data_constants_once(monkeypatch, family):
-    """The per-fit constants (``_FitData``) and the variance floor are built
-    once per fit, not once per cycle."""
+def constants_sample(family):
+    """Three-class data, or two gaussian lines meeting at x = 0."""
     if family == "multinomial":
-        data = gen_three_class(300, seed=3)
-    else:
-        rng = np.random.default_rng(3)
-        x = rng.uniform(-3.0, 3.0, size=300)
-        data = Dataset(x[:, None], np.where(x > 0, 2.0 * x, -x) + rng.normal(size=300),
-                       "real")
-    config = FitConfig(max_cycles=50, rel_tol=1e-15)
-    init = initialize(data, 3, family, ExpertDesign(), 0, config)
+        return gen_three_class(300, seed=3)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-3.0, 3.0, size=300)
+    return Dataset(x[:, None], np.where(x > 0, 2.0 * x, -x) + rng.normal(size=300), "real")
+
+
+def count_constant_builds(monkeypatch):
+    """Count the builds of ``_FitData`` and of the variance floor."""
     calls = {"build": 0, "variance_floor": 0}
     build, floor = estimation._FitData.build, estimation.variance_floor
 
@@ -177,8 +176,63 @@ def test_fit_builds_its_data_constants_once(monkeypatch, family):
 
     monkeypatch.setattr(estimation._FitData, "build", classmethod(counted_build))
     monkeypatch.setattr(estimation, "variance_floor", counted_floor)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["gaussian", "multinomial"])
+def test_fit_builds_its_data_constants_once(monkeypatch, family):
+    """The per-fit constants (``_FitData``) and the variance floor are built
+    once per fit, not once per cycle."""
+    data = constants_sample(family)
+    config = FitConfig(max_cycles=50, rel_tol=1e-15)
+    init = initialize(data, 3, family, ExpertDesign(), 0, config)
+    calls = count_constant_builds(monkeypatch)
     assert fit(data, init, config).cycles_used == 50
     assert calls["build"] == 1 and calls["variance_floor"] <= 1
+
+
+@pytest.mark.parametrize("family", ["gaussian", "multinomial"])
+def test_multi_start_fit_builds_its_data_constants_once(monkeypatch, family):
+    """``multi_start_fit`` builds one bundle of constants for all its starts
+    and hands it to each start's ``initialize`` and ``fit``."""
+    calls = count_constant_builds(monkeypatch)
+    multi_start_fit(constants_sample(family), 3, family, ExpertDesign(),
+                    FitConfig(n_starts=3, max_cycles=10, irls_max_inner=1))
+    assert calls["build"] == 1 and calls["variance_floor"] <= 1
+
+
+def linalg_calls(path: Path) -> set[tuple[str | None, str]]:
+    """(innermost enclosing function, function name) of every ``np.linalg``
+    call in a module, read from its syntax tree."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and ast.unparse(node.func.value) in ("np.linalg", "numpy.linalg")):
+            found.add((where, node.func.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_estimation_has_one_linear_solve():
+    """``_cholesky_solve`` is the one linear solve of the fit: no other code
+    in ``estimation`` calls ``np.linalg``, except the SVD rank test of
+    ``_check_init_rows``, which solves nothing.  The module reaches
+    ``linalg`` only as ``np.linalg``."""
+    path = PACKAGE / "estimation.py"
+    assert linalg_calls(path) == {("_cholesky_solve", "cholesky"),
+                                  ("_cholesky_solve", "solve"),
+                                  ("_check_init_rows", "matrix_rank")}
+    imports = [node for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not any("linalg" in (getattr(node, "module", None) or "")
+                   or any("linalg" in alias.name for alias in node.names)
+                   for node in imports)
 
 
 def unused_imports(path: Path) -> list[str]:

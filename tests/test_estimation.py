@@ -1,7 +1,7 @@
 """Estimation tests: block updates, minorization, fitting, initialization."""
 
+import itertools
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,11 +101,11 @@ def two_component_sample(family, n, seed):
                           n, seed=seed)
 
 
-def short_fit_sample(family, n=200):
+def short_fit_sample(family, n=200, seed=0):
     """One seeded two-regime data set per expert family."""
     if family in ("gaussian", "multinomial"):
-        return two_component_sample(family, n, seed=0)
-    rng = np.random.default_rng(0)
+        return two_component_sample(family, n, seed=seed)
+    rng = np.random.default_rng(seed)
     X = rng.uniform(-3.0, 3.0, size=(n, 1))
     eta = np.where(X[:, 0] > 0.0, 1.5 * X[:, 0] - 1.0, -X[:, 0])
     if family == "logistic":
@@ -119,8 +119,7 @@ def fit_data(family, Dt, y, K=None):
     first, and a response y of the expert family ``family``; one component,
     so no gating step matrix."""
     data = Dataset(Dt[:, 1:], y, EXPERT_FAMILIES[family].kind, K=K)
-    return _FitData.build(data, SimpleNamespace(family=family, design=ExpertDesign(),
-                                                K=K, g=1))
+    return _FitData.build(data, family, ExpertDesign(), 1)
 
 
 def glm_fit(fd, W, beta0, max_inner):
@@ -319,17 +318,17 @@ class TestNewtonGate:
         of the step with the true solve."""
         data = short_fit_sample("gaussian")
         init = initialize(data, 3, "gaussian", ExpertDesign(), seed=0)
-        fd = _FitData.build(data, init)
+        fd = _FitData.build(data, "gaussian", ExpertDesign(), 3)
         JS, L = joint_scores(data, init)
-        tau, q = _joint(JS, L)
+        post, q = _joint(JS, L)
         full = init.gating.copy()
-        _newton_gate(JS.copy(), L, tau, q, fd, full)
+        _newton_gate(JS.copy(), L, post, q, fd, full)
         if solve is not None:
             true_solve = estimation._cholesky_solve
             monkeypatch.setattr(estimation, "_cholesky_solve",
                                 lambda A, b: cls.SOLVES[solve](*true_solve(A, b)))
         gating, before = init.gating.copy(), JS.copy()
-        _, q_new = _newton_gate(JS, L, tau, q, fd, gating)
+        _, q_new = _newton_gate(JS, L, post, q, fd, gating)
         return q, (before, JS), (init.gating, gating), q_new, full - init.gating
 
     def test_full_step_taken(self, monkeypatch):
@@ -447,7 +446,7 @@ class TestGaussianExpertBlockUpdate:
                           beta=np.zeros((2, 2)), sigma2=np.ones(2))
         with pytest.raises(RankDeficientError, match="component 2"):
             gaussian_expert_block_update(data, theta, W)
-        fd = _FitData.build(data, theta)
+        fd = _FitData.build(data, "gaussian", ExpertDesign(), 2)
         beta, _, ok = _weighted_least_squares(fd, W)
         assert ok.tolist() == [True, False]
         assert np.all(np.isnan(beta[1])) and np.all(np.isfinite(beta[0]))
@@ -602,6 +601,22 @@ class TestGlmExpertBlockUpdate:
                 assert np.array_equal(delta[0], b[0])
                 assert np.all(np.isnan(delta[1]))
                 assert ok.tolist() == [True, False]
+
+    def test_matrix_lu_calls_singular_solved_by_its_factor(self):
+        # Cholesky factors this Gram matrix (its last pivot is 3e-8), but an
+        # LU solve calls it singular; the batch is then solved through the
+        # triangular factor, for vector and matrix right-hand sides alike
+        A = np.array([[1.9637725542624211, 2.8853357103917814],
+                      [2.8853357103917814, 4.239371888354412]])
+        C = np.linalg.cholesky(A)
+        for b in (np.array([[1.0, -2.0]]), np.arange(6.0).reshape(1, 2, 3)):
+            rhs = b if b.ndim == 3 else b[..., None]
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(A[None], rhs)
+            x, ok = _cholesky_solve(A[None], b)
+            assert ok.tolist() == [True]
+            assert np.array_equal(x, np.linalg.solve(C.T, np.linalg.solve(C, rhs[0]))
+                                  .reshape(b.shape))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_trial_steps_stay_silent(self):
@@ -784,13 +799,17 @@ class TestFit:
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_q_hat_is_the_objective_at_the_result(self, g):
-        # the Newton gate sets the gating scores from the rows by the
-        # product joint_scores takes, so they never drift from them
-        for seed in range(10):
-            data = two_component_sample("gaussian", 200, seed)
-            init = initialize(data, g, "gaussian", ExpertDesign(), 0)
-            result = fit(data, init, FitConfig(max_cycles=60))
-            assert result.q_trace[-1] == log_quasi_likelihood(data, result.theta)
+        # the Newton gate and the GLM sweep set the gating scores from the
+        # rows by the product joint_scores takes, so they never drift from them
+        for family, seed in itertools.product(PINNED_SHORT_FITS, range(10)):
+            data = short_fit_sample(family, 200, seed)
+            init = initialize(data, g, family, ExpertDesign(), 0)
+            try:
+                result = fit(data, init, FitConfig(max_cycles=60))
+            except EmptyComponentError:
+                continue  # one logistic g = 4 start starves
+            assert result.q_trace[-1] == log_quasi_likelihood(data, result.theta), \
+                (family, seed)
 
     def test_responsibilities_well_formed_at_solution(self):
         truth = two_line_truth()
@@ -992,11 +1011,12 @@ class TestSquarem:
     @staticmethod
     def live_state(data, init, cycles=6):
         """The state ``fit`` holds after ``cycles`` cycles, as ``_squarem``
-        takes it: (JS, L, tau, q, bundle, theta)."""
+        takes it: (JS, L, post, q, bundle, theta), ``post`` being the
+        posterior kernel's (tau, lse S)."""
         theta = fit(data, init, FitConfig(max_cycles=cycles)).theta
         JS, L = joint_scores(data, theta)
-        tau, q = _joint(JS, L)
-        return JS, L, tau, q, _FitData.build(data, theta), theta
+        post, q = _joint(JS, L)
+        return JS, L, post, q, _FitData.build(data, "gaussian", theta.design, theta.g), theta
 
     @staticmethod
     def aimed_at(t2, w):
@@ -1004,14 +1024,23 @@ class TestSquarem:
         t2 + w: r = 2w and v = -w give alpha = -2."""
         return [t2 - 3.0 * w, t2 - w, t2]
 
-    def assert_refused(self, monkeypatch, shift, priced=False):
+    def assert_refused(self, monkeypatch, shift, priced=False, at_floor=False):
         """theta2 + shift(theta, fd) is refused and the live state kept; a
-        point that is not ``priced`` is refused before ``_joint`` runs."""
+        point that is not ``priced`` is refused before ``_joint`` runs.  With
+        ``at_floor`` the bundle's variance floor is moved to the first
+        variance of the point as ``_squarem`` builds it, bit for bit."""
         data, init = self.over_fitted()
-        JS, L, tau, q, fd, theta = self.live_state(data, init)
-        before = theta.copy(), JS.copy(), L.copy(), tau.copy()
+        JS, L, post, q, fd, theta = self.live_state(data, init)
+        before = theta.copy(), JS.copy(), L.copy(), [a.copy() for a in post]
         t2 = flatten_params(theta)
         w = shift(theta, fd)
+        if at_floor:
+            unflatten, built = estimation.unflatten_params, []
+            monkeypatch.setattr(estimation, "unflatten_params",
+                                lambda *args: built.append(unflatten(*args)) or built[-1])
+            # under an infinite floor the point is refused before pricing
+            _squarem(JS, L, post, q, fd._replace(floor=np.inf), theta, self.aimed_at(t2, w))
+            fd = fd._replace(floor=built[0].sigma2[0])
         if not priced:
             def unpriced(JS, L):
                 raise AssertionError("a refused point was priced")
@@ -1019,14 +1048,14 @@ class TestSquarem:
             monkeypatch.setattr(estimation, "_joint", unpriced)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _squarem(JS, L, tau, q, fd, theta, self.aimed_at(t2, w))
+            out = _squarem(JS, L, post, q, fd, theta, self.aimed_at(t2, w))
         assert out[1] == q and out[3] is False
-        assert out[0] is tau and out[2] is L
-        kept_theta, kept_JS, kept_L, kept_tau = before
+        assert out[0] is post and out[2] is L
+        kept_theta, kept_JS, kept_L, kept_post = before
         for field in ("gating", "beta", "sigma2"):
             assert np.array_equal(getattr(theta, field), getattr(kept_theta, field))
         assert np.array_equal(JS, kept_JS) and np.array_equal(L, kept_L)
-        assert np.array_equal(tau, kept_tau)
+        assert all(np.array_equal(a, b) for a, b in zip(post, kept_post))
         assert log_quasi_likelihood(data, theta) == pytest.approx(q, rel=1e-12)
 
     @staticmethod
@@ -1047,14 +1076,14 @@ class TestSquarem:
 
     @pytest.mark.parametrize("below", [0.0, 1.0])
     def test_variance_at_or_under_the_floor_refused(self, monkeypatch, below):
-        # sigma2[0] lands on the floor (to rounding), or ``below`` times the
-        # floor under it
+        # sigma2[0] lands on the floor, which is then moved to where it lands
+        # exactly, or ``below`` times the floor under it
         def to_floor(theta, fd):
             shift = np.zeros(theta.g)
             shift[0] = (1.0 - below) * fd.floor - theta.sigma2[0]
             return self.moved(theta, "sigma2", shift)
 
-        self.assert_refused(monkeypatch, to_floor)
+        self.assert_refused(monkeypatch, to_floor, at_floor=below == 0.0)
 
     # the point is not finite at sigma2 + 1e307
     @pytest.mark.parametrize("shift", [1e307])
@@ -1064,19 +1093,19 @@ class TestSquarem:
 
     def test_no_step_when_v_vanishes_or_alpha_is_short(self):
         data, init = self.over_fitted()
-        JS, L, tau, q, fd, theta = self.live_state(data, init)
+        JS, L, post, q, fd, theta = self.live_state(data, init)
         t2 = flatten_params(theta)
         w = np.full(t2.size, 1e-3)
         # v = 0, and |r| / |v| = 1/2 (alpha = -1/2)
         for points in ([t2, t2, t2], [t2 - 2.0 * w, t2 - w, t2 + 2.0 * w]):
-            out = _squarem(JS, L, tau, q, fd, theta, points)
-            assert out == (tau, q, L, False)
+            out = _squarem(JS, L, post, q, fd, theta, points)
+            assert out == (post, q, L, False)
 
     def test_step_length_capped(self, monkeypatch):
         # |r| / |v| = 100 is capped at SQUAREM_STEP_CAP: theta' moves
         # 2 cap |r| + cap^2 |v| from theta0
         data, init = self.over_fitted()
-        JS, L, tau, q, fd, theta = self.live_state(data, init)
+        JS, L, post, q, fd, theta = self.live_state(data, init)
         t2 = flatten_params(theta)
         priced = []
 
@@ -1089,7 +1118,7 @@ class TestSquarem:
         w[0] = 1e-4
         r, v = 100.0 * w, -w
         t0 = t2 - 2.0 * r - v
-        _squarem(JS, L, tau, q, fd, theta, [t0, t0 + r, t2])
+        _squarem(JS, L, post, q, fd, theta, [t0, t0 + r, t2])
         a = -SQUAREM_STEP_CAP
         assert len(priced) == 1
         assert np.allclose(priced[0], t0 - 2.0 * a * r + a * a * v, rtol=0, atol=1e-12)
@@ -1198,7 +1227,7 @@ class TestInitialize:
         assert np.all(np.isfinite(init.beta)) and np.all(np.isfinite(init.sigma2))
         assert np.all(init.sigma2 >= variance_floor(data))
         W = (labels == 0).astype(float)[None, :]
-        plain, _, ok = _weighted_least_squares(_FitData.build(data, init), W)
+        plain, _, ok = _weighted_least_squares(_FitData.build(data, "gaussian", ExpertDesign(), 2), W)
         assert ok.all()
         assert np.allclose(init.beta[0], plain[0], rtol=0.0, atol=1e-6)
 
@@ -1238,10 +1267,12 @@ class TestInitialize:
             with pytest.raises(RankDeficientError, match="singular ridged init Gram"):
                 initialize(data, 2, "gaussian", ExpertDesign(), seed)
 
-    def test_gating_gram_without_cholesky_factor_stops_the_start(self):
+    def test_gating_gram_without_cholesky_factor_stops_the_start(self, monkeypatch):
         # x2 = x1 + 1e-10 noise passes the SVD rank check, but the gating
         # Gram matrix has no Cholesky factor; the fit's bundle of constants
-        # refuses it when the start builds it, as fit would
+        # refuses it when the start builds it, as fit would, and a
+        # multi-start fit, which builds one bundle for all its starts, once
+        # before any start
         rng = np.random.default_rng(37)
         x1 = rng.normal(size=300)
         X = np.column_stack([x1, x1 + 1e-10 * rng.normal(size=300)])
@@ -1251,6 +1282,12 @@ class TestInitialize:
         with pytest.raises(RankDeficientError, match="singular gating design Gram matrix"):
             initialize(data, 2, "gaussian", poly, 0)
         assert initialize(data, 1, "gaussian", poly, 0).g == 1
+        calls = []
+        monkeypatch.setattr(estimation, "initialize",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(RankDeficientError, match="singular gating design Gram matrix"):
+            multi_start_fit(data, 2, "gaussian", poly, FitConfig(n_starts=2))
+        assert calls == []
 
     @pytest.mark.parametrize("g", [1, 2])
     @pytest.mark.parametrize("column", ["collinear", "constant"])
@@ -1345,7 +1382,7 @@ class TestMultiStart:
     def crafted_fit(monkeypatch, q_hats, seed):
         """Replace ``fit`` so that start k ends its trace at q_hats[k], or
         fails when that is None; the real ``initialize`` still runs."""
-        def crafted(data, init, config, seed_used=0):
+        def crafted(data, init, config, seed_used=0, fd=None):
             q = q_hats[seed_used - seed]
             if q is None:
                 raise EmptyComponentError(f"crafted failure of seed {seed_used}")
@@ -1393,10 +1430,10 @@ class TestMultiStart:
     def test_failed_starts_kept_on_winner(self, monkeypatch):
         original = estimation.initialize
 
-        def starve_seed_1(data, g, family, design, seed, config=None):
+        def starve_seed_1(data, g, family, design, seed, config=None, fd=None):
             if seed == 1:
                 raise EmptyComponentError("component(s) [2] starved")
-            return original(data, g, family, design, seed, config)
+            return original(data, g, family, design, seed, config, fd)
 
         data = two_component_sample("gaussian", 100, seed=12)
         config = FitConfig(n_starts=3, seed=0, max_cycles=10)

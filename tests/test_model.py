@@ -379,6 +379,27 @@ def test_invalid_model_input_rejected(case):
         build()
 
 
+@pytest.mark.parametrize("theta", [
+    gaussian_pair(means=(0.5, -1.0), gate_intercept=0.3),
+    MoeParams(family="multinomial", gating=np.array([[0.2, -1.0], [0.0, 0.0]]),
+              beta=np.arange(12.0).reshape(2, 3, 2), K=3),
+], ids=["gaussian", "multinomial"])
+def test_params_copy_equals_its_source_and_shares_no_array(theta):
+    copy = theta.copy()
+    assert type(copy) is MoeParams
+    for name in ("family", "design", "K"):
+        assert getattr(copy, name) == getattr(theta, name)
+    for name in ("gating", "beta", "sigma2"):
+        a, b = getattr(copy, name), getattr(theta, name)
+        if b is None:
+            assert a is None
+            continue
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+        assert not np.shares_memory(a, b)
+    copy.gating[0, 0] += 1.0
+    assert theta.gating[0, 0] != copy.gating[0, 0]
+
+
 def test_moe_log_density_rows_matches_scalar():
     theta = gaussian_pair()
     data = Dataset(np.array([[0.1], [0.9]]), np.array([1.0, -0.3]), "real")
