@@ -385,9 +385,11 @@ def glm_expert_block_update(data: Dataset, theta: MoeParams, W: np.ndarray,
     return beta, None, capped, L
 
 
-def _joint(JS: np.ndarray, L: np.ndarray):
-    """Refresh JS[0] = S + L from the gating scores JS[1] and the cached expert
-    log densities L (g, n); returns the posterior kernel's (tau, lse S) and Q_n."""
+def _joint(JS: np.ndarray, L: np.ndarray, Xt: np.ndarray, gating: np.ndarray):
+    """Price a point: the gating scores JS[1] = (X-tilde gating^T)^T, set from
+    the rows as in ``joint_scores``, and JS[0] = S + L with the expert log
+    densities L (g, n); returns the posterior kernel's (tau, lse S) and Q_n."""
+    JS[1] = (Xt @ gating.T).T
     np.add(JS[1], L, out=JS[0])
     tau, rows, lse_s = posterior(JS)
     return (tau, lse_s), float(np.sum(rows))
@@ -397,14 +399,13 @@ def _newton_gate(JS: np.ndarray, L: np.ndarray, post: tuple, q: float,
                  fd: _FitData, gating: np.ndarray):
     """One guarded Newton step of the g-1 free ``gating`` rows at once on the
     gate's EM surrogate sum tau log pi (the IRLS gate of Jordan & Jacobs
-    1994), moving ``gating`` and the gating scores JS[1] in place.  Trial
-    steps 1, 1/2, ... are priced through ``_joint``; the first that loses at
-    most the ascent guard's tolerance is kept.  If none is, or the Hessian is
-    not positive definite, nothing moves.  Scores are (X-tilde gating^T)^T,
-    as in ``joint_scores``.  ``post`` is ``_joint``'s (tau, lse S) at the
-    current point; returns ``post`` and Q_n after the step."""
-    S = JS[1]
-    pi = np.exp(S - post[1])
+    1994), moving ``gating`` and ``JS`` in place.  Trial steps 1, 1/2, ...
+    are priced through ``_joint``; the first that loses at most the ascent
+    guard's tolerance is kept.  If none is, ``_joint`` prices the rows again,
+    restoring ``JS``; if the Hessian is not positive definite, nothing moves.
+    ``post`` is ``_joint``'s (tau, lse S) at the current point; returns
+    ``post`` and Q_n after the step."""
+    pi = np.exp(JS[1] - post[1])
     grad = (post[0] - pi)[:-1] @ fd.Xt
     hess = kron_gram(fd.ones, free_class_cov(pi[None]), fd.Xt, fd.XX)
     step, ok = _cholesky_solve(hess, grad.reshape(1, -1))
@@ -412,13 +413,11 @@ def _newton_gate(JS: np.ndarray, L: np.ndarray, post: tuple, q: float,
         delta = np.vstack([step.reshape(grad.shape), np.zeros(grad.shape[1])])
         for t in 0.5 ** np.arange(30.0):
             trial = gating + t * delta
-            S[...] = (fd.Xt @ trial.T).T
-            post_t, q_t = _joint(JS, L)
+            post_t, q_t = _joint(JS, L, fd.Xt, trial)
             if q_t >= q - 1e-10 * (1.0 + abs(q)):
                 gating[...] = trial
                 return post_t, q_t
-        S[...] = (fd.Xt @ gating.T).T
-        np.add(S, L, out=JS[0])
+        _joint(JS, L, fd.Xt, gating)
     return post, q
 
 
@@ -431,8 +430,9 @@ def _squarem(JS: np.ndarray, L: np.ndarray, post: tuple, q: float,
     alpha^2 v.  theta' is refused if it is not finite, a variance is at or
     under the floor or a separable family's coefficient is past GLM_COEF_CAP;
     else it is bound live on ``theta``, priced through ``_joint`` (moving
-    ``JS``) and kept if Q_n does not fall, else theta2 is restored.  No step
-    is tried when v = 0 or alpha >= -1.  Returns (post, q, L, kept)."""
+    ``JS``) and kept if Q_n does not fall, else theta2, its ``JS`` and
+    ``post`` are restored.  No step is tried when v = 0 or alpha >= -1.
+    Returns (post, q, L, kept)."""
     t0, t1, t2 = points
     # an overflowing step is refused below, not reported
     with np.errstate(over="ignore", invalid="ignore"):
@@ -449,8 +449,7 @@ def _squarem(JS: np.ndarray, L: np.ndarray, post: tuple, q: float,
         old = theta.gating, theta.beta, theta.sigma2, JS.copy()
         theta.gating, theta.beta, theta.sigma2 = new.gating, new.beta, new.sigma2
         L_new = fd.log_densities(theta.beta, theta.sigma2)
-        JS[1] = (fd.Xt @ theta.gating.T).T
-        post_new, q_new = _joint(JS, L_new)
+        post_new, q_new = _joint(JS, L_new, fd.Xt, theta.gating)
     if q_new >= q:
         return post_new, q_new, L_new, True
     theta.gating, theta.beta, theta.sigma2, JS[...] = old
@@ -462,9 +461,10 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     """Run the blockwise-MM algorithm from ``init`` until convergence.
 
     The data's constants (``_FitData``) are built once, unless passed as
-    ``fd``.  The expert log densities L ride through the cycle: every gating
-    trial reuses them, moving ``JS`` in place, and the expert block starts
-    from L and returns its update; so does ``_joint``'s (tau, lse S).
+    ``fd``, and give the start's expert log densities L.  L rides through the
+    cycle: every gating trial reuses it, and the expert block starts from L
+    and returns its update.  ``_joint`` prices every point, setting ``JS``
+    from the gating rows, so every Q_n the fit records is the true one.
 
     Gaussian fits take one guarded Newton step per cycle over all g-1 free
     gating rows (``_newton_gate``).  GLM fits sweep the gating rows
@@ -489,9 +489,10 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     fd = fd or _FitData.build(data, theta.family, theta.design, theta.g)
     dispersion, Xt, M = fd.fam.dispersion, fd.Xt, fd.M
     block = gaussian_expert_block_update if dispersion else glm_expert_block_update
-    JS, L = joint_scores(data, theta)
+    L = fd.log_densities(theta.beta, theta.sigma2)
+    JS = np.empty((2, g, data.n))
     J, S = JS  # views: the joint and the gating scores
-    post, q = _joint(JS, L)
+    post, q = _joint(JS, L, Xt, theta.gating)
     others = [np.delete(np.arange(g), z) for z in range(g - 1)]
     step_factor = np.ones(g - 1)
     points = [flatten_params(theta)]
@@ -501,35 +502,31 @@ def fit(data: Dataset, init: MoeParams, config: FitConfig | None = None,
     cycle = 0
     for cycle in range(1, config.max_cycles + 1):
         try:
-            # the guard's tolerance scale; comparisons use exact step gains
-            q_cur = q
+            q_cur = q  # the ascent guard's reference, moved by the gate step
             if not dispersion:
                 for _ in range(GATING_ROUNDS):
                     for z in range(g - 1):
                         resid, gain = gating_line(JS, z, others[z])
                         direction = M @ (Xt.T @ resid)
                         drow = Xt @ direction
-                        factor, value = _step_length(
-                            lambda step: gain(step, drow), step_factor[z],
-                            1e-10 * (1.0 + abs(q_cur)))
+                        factor, _ = _step_length(lambda step: gain(step, drow),
+                                                 step_factor[z], 1e-10 * (1.0 + abs(q)))
                         step_factor[z] = max(factor, 1.0)
                         if factor:
                             S[z] += factor * drow
                             np.add(S[z], L[z], out=J[z])
                             theta.gating[z] = theta.gating[z] + factor * direction
-                            q_cur += value
-                # the product joint_scores takes, so S ends the sweep on the rows
-                S[...] = (Xt @ theta.gating.T).T
-                post, q_cur = _joint(JS, L)
+                # the sweep adds each step to S; _joint sets S from the rows
+                post, q_cur = _joint(JS, L, Xt, theta.gating)
             elif g > 1:
                 post, q_cur = _newton_gate(JS, L, post, q, fd, theta.gating)
             old = theta.beta, theta.sigma2, L
             theta.beta, theta.sigma2, flagged, L = block(data, theta, post[0], config, fd, L)
-            post, q_new = _joint(JS, L)
+            post, q_new = _joint(JS, L, Xt, theta.gating)
             # ascent guard: a capped or stalled Newton solve must not lose ground
             if q_new < q_cur - 1e-10 * (1.0 + abs(q_cur)):
                 theta.beta, theta.sigma2, L = old
-                post, q_new = _joint(JS, L)
+                post, q_new = _joint(JS, L, Xt, theta.gating)
             else:
                 degenerate = dispersion and bool(flagged.any())
         except EstimationError as err:

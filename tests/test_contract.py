@@ -3,7 +3,8 @@ the BIC table has the header the benchmark parses, the CLI accepts the fit
 flags the benchmark passes, the benchmark's fit collector sees one ``fit``
 call per start, both expert blocks share one contract and are called once
 per start and cycle, a fit builds its data constants once and a multi-start
-fit once per g, ``estimation`` has one linear solve, no module of the
+fit once per g, a fit prices its points from its bundle and sets the gating
+scores in one place, ``estimation`` has one linear solve, no module of the
 package imports a name it never uses, the package's relative imports form no
 cycle, only ``io`` reads or writes CSV, each family kernel has one copy, and
 the package runs on numpy alone, without scipy, and on one thread."""
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 import moefit.estimation as estimation
+import moefit.model as model
 from moefit.datagen import gen_three_class
 from moefit.cli import _fit_config, build_parser
 from moefit.estimation import FitConfig, fit, initialize, multi_start_fit
@@ -199,6 +201,55 @@ def test_multi_start_fit_builds_its_data_constants_once(monkeypatch, family):
     multi_start_fit(constants_sample(family), 3, family, ExpertDesign(),
                     FitConfig(n_starts=3, max_cycles=10, irls_max_inner=1))
     assert calls["build"] == 1 and calls["variance_floor"] <= 1
+
+
+@pytest.mark.parametrize("family", ["gaussian", "multinomial"])
+def test_multi_start_fit_prices_from_its_bundle(monkeypatch, family):
+    """Each start's first expert log densities come from the bundle, so a
+    multi-start fit neither builds ``joint_scores`` nor re-reads the designs
+    through ``expert_log_density_matrix``."""
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(estimation, "joint_scores")
+    counting(model, "expert_log_density_matrix")
+    multi_start_fit(constants_sample(family), 3, family, ExpertDesign(),
+                    FitConfig(n_starts=3, max_cycles=10, irls_max_inner=1))
+    assert calls == []
+
+
+def gating_score_products(path: Path) -> list[str | None]:
+    """The innermost enclosing function of every product ``Xt @ <array>.T``
+    in a module, X-tilde times a gating array's transpose, read from its
+    syntax tree; X-tilde is any name or attribute called ``Xt``."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                and ast.unparse(node.left).split(".")[-1] == "Xt"
+                and isinstance(node.right, ast.Attribute) and node.right.attr == "T"):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_gating_scores_are_set_in_one_place():
+    """``estimation._joint`` is the one place that sets a fit's gating scores
+    from its rows, so no gate step, sweep or extrapolation prices a point
+    with scores of its own."""
+    assert gating_score_products(PACKAGE / "estimation.py") == ["_joint"]
 
 
 def linalg_calls(path: Path) -> set[tuple[str | None, str]]:

@@ -320,7 +320,7 @@ class TestNewtonGate:
         init = initialize(data, 3, "gaussian", ExpertDesign(), seed=0)
         fd = _FitData.build(data, "gaussian", ExpertDesign(), 3)
         JS, L = joint_scores(data, init)
-        post, q = _joint(JS, L)
+        post, q = _joint(JS, L, fd.Xt, init.gating)
         full = init.gating.copy()
         _newton_gate(JS.copy(), L, post, q, fd, full)
         if solve is not None:
@@ -863,11 +863,11 @@ class TestCarriedLogDensities:
                 return lost.beta, sigma2, flagged, expert_log_density_matrix(data, lost)
             return beta, sigma2, flagged, L
 
-        def checking(JS, L):
+        def checking(JS, L, *rows):
             if live:
                 assert np.array_equal(L, expert_log_density_matrix(data, live[0]))
                 checked[0] += 1
-            return joint(JS, L)
+            return joint(JS, L, *rows)
 
         monkeypatch.setattr(estimation, name, watched)
         monkeypatch.setattr(estimation, "_joint", checking)
@@ -989,9 +989,9 @@ class TestSquarem:
         init = initialize(data, 2, "poisson", ExpertDesign(), 1)
         joint, overflowed = estimation._joint, []
 
-        def watching(JS, L):
+        def watching(JS, L, *rows):
             overflowed.append(not np.isfinite(L).all())
-            return joint(JS, L)
+            return joint(JS, L, *rows)
 
         monkeypatch.setattr(estimation, "_joint", watching)
         result, kept = self.spied_fit(monkeypatch, data, init, FitConfig(max_cycles=10))
@@ -1014,9 +1014,10 @@ class TestSquarem:
         takes it: (JS, L, post, q, bundle, theta), ``post`` being the
         posterior kernel's (tau, lse S)."""
         theta = fit(data, init, FitConfig(max_cycles=cycles)).theta
+        fd = _FitData.build(data, "gaussian", theta.design, theta.g)
         JS, L = joint_scores(data, theta)
-        post, q = _joint(JS, L)
-        return JS, L, post, q, _FitData.build(data, "gaussian", theta.design, theta.g), theta
+        post, q = _joint(JS, L, fd.Xt, theta.gating)
+        return JS, L, post, q, fd, theta
 
     @staticmethod
     def aimed_at(t2, w):
@@ -1042,7 +1043,7 @@ class TestSquarem:
             _squarem(JS, L, post, q, fd._replace(floor=np.inf), theta, self.aimed_at(t2, w))
             fd = fd._replace(floor=built[0].sigma2[0])
         if not priced:
-            def unpriced(JS, L):
+            def unpriced(*args):
                 raise AssertionError("a refused point was priced")
 
             monkeypatch.setattr(estimation, "_joint", unpriced)
@@ -1109,9 +1110,9 @@ class TestSquarem:
         t2 = flatten_params(theta)
         priced = []
 
-        def pricing(JS, L):
+        def pricing(*args):
             priced.append(flatten_params(theta))  # the live point
-            return _joint(JS, L)
+            return _joint(*args)
 
         monkeypatch.setattr(estimation, "_joint", pricing)
         w = np.zeros(t2.size)
